@@ -58,7 +58,6 @@ from .fieldmap import (
     RegionResult,
     SweepRow,
     beampattern_at,
-    build_plan,
     evaluate_grid,
     extract_noncovert,
     monte_carlo_rate,
@@ -79,6 +78,7 @@ from .geometry import (
 )
 from .schemes import (
     SolverDidNotConverge,
+    build_plan,
     linear_fda_plan,
     lpa_plan,
     optimized_fda_plan,

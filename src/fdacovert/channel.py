@@ -155,6 +155,20 @@ def wrapped_propagation_phases(
     return np.remainder(raw, TWO_PI)
 
 
+def focus_correlation(
+    g: ArrayGeometry, plan: FrequencyPlan, bob: PolarPoint, p: PolarPoint
+) -> float:
+    """Beamfocusing correlation |sum_n e^{j (phi_n(p) - phi_n(bob))}|^2 at p.
+
+    N^2 at p = bob; the beampattern and the ellipse curvature check are
+    both built on it.
+    """
+    ph = wrapped_propagation_phases(
+        g, plan, p.r_m, math.sin(p.theta_rad)
+    ) - wrapped_propagation_phases(g, plan, bob.r_m, math.sin(bob.theta_rad))
+    return float(np.abs(np.exp(1j * ph).sum()) ** 2)
+
+
 def element_channel(
     g: ArrayGeometry, n: int, f_n_hz: float, p: PolarPoint
 ) -> complex:

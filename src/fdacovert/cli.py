@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -30,16 +31,8 @@ from .channel import (
 from .config import ConfigError, ExperimentConfig, load_config
 from .covertness import xi, xi_inv
 from .ellipse import objective_and_gradient, optimize_offsets
-from .fieldmap import (
-    FieldMap,
-    build_plan,
-    evaluate_grid,
-    extract_noncovert,
-    monte_carlo_rate,
-    sweep,
-)
-from .geometry import PolarPoint
-from .schemes import linear_fda_plan, random_fda_plan
+from .fieldmap import GridSpec, evaluate_grid, extract_noncovert, monte_carlo_rate, sweep
+from .schemes import box_half_width, build_plan, linear_fda_plan, random_fda_plan
 
 SUBCOMMANDS = (
     "heatmap",
@@ -69,22 +62,29 @@ def fmt(value) -> str:
     return str(value)
 
 
-def emit_csv(path: str, header: Sequence[str], rows: Iterable[Sequence], metadata: dict) -> None:
-    """Write a CSV with '# key=value' metadata lines, atomically."""
+@contextmanager
+def _atomic_text_file(path: str):
+    """Text file handle whose content appears at path only if the block succeeds."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=".csv")
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            for key in sorted(metadata):
-                fh.write(f"# {key}={metadata[key]}\n")
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(fmt(v) for v in row) + "\n")
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def emit_csv(path: str, header: Sequence[str], rows: Iterable[Sequence], metadata: dict) -> None:
+    """Write a CSV with '# key=value' metadata lines, atomically."""
+    with _atomic_text_file(path) as fh:
+        for key in sorted(metadata):
+            fh.write(f"# {key}={metadata[key]}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
 def read_field_csv(path: str):
@@ -123,25 +123,18 @@ def _base_metadata(cfg: ExperimentConfig, subcommand: str) -> dict:
     return meta
 
 
-def _field_rows(fmap: FieldMap):
-    xs, ys = fmap.spec.xs(), fmap.spec.ys()
-    for iy in range(fmap.spec.n_y):
-        for ix in range(fmap.spec.n_x):
-            yield xs[ix], ys[iy], fmap.values[iy, ix]
+def _grid_rows(spec: GridSpec, column: np.ndarray):
+    """(x, y, column[iy, ix]) per cell, y-outer row-major."""
+    xs, ys = spec.xs(), spec.ys()
+    for iy in range(spec.n_y):
+        for ix in range(spec.n_x):
+            yield xs[ix], ys[iy], column[iy, ix]
 
 
-def _mask_rows(fmap: FieldMap):
-    xs, ys = fmap.spec.xs(), fmap.spec.ys()
-    for iy in range(fmap.spec.n_y):
-        for ix in range(fmap.spec.n_x):
-            yield xs[ix], ys[iy], bool(fmap.mask[iy, ix])
-
-
-def _plan_for(cfg: ExperimentConfig, scheme: str, geometry=None, seed=None) -> FrequencyPlan:
-    g = geometry or cfg.geometry()
+def _plan_for(cfg: ExperimentConfig, scheme: str, seed=None) -> FrequencyPlan:
     return build_plan(
         scheme,
-        g,
+        cfg.geometry(),
         cfg.bob(),
         cfg.f_delta_hz,
         seed=cfg.seed if seed is None else seed,
@@ -169,7 +162,8 @@ def cmd_heatmap(cfg: ExperimentConfig, out_dir: str, plan_file: Optional[str]) -
         meta = _base_metadata(cfg, "heatmap")
         meta.update(scheme=scheme, seed=fmt(plan.seed), step_m=fmt(cfg.step_m))
         path = os.path.join(out_dir, f"heatmap_{scheme}.csv")
-        emit_csv(path, ["x_m", "y_m", "normalized_power"], _field_rows(fmap), meta)
+        rows = _grid_rows(fmap.spec, fmap.values)
+        emit_csv(path, ["x_m", "y_m", "normalized_power"], rows, meta)
         written.append(path)
     return written
 
@@ -193,7 +187,7 @@ def cmd_region(cfg: ExperimentConfig, out_dir: str, plan_file: Optional[str]) ->
             threshold_value=fmt(value),
         )
         path = os.path.join(out_dir, f"region_{scheme}.csv")
-        emit_csv(path, ["x_m", "y_m", "non_covert"], _mask_rows(fmap), meta)
+        emit_csv(path, ["x_m", "y_m", "non_covert"], _grid_rows(fmap.spec, region.mask), meta)
         written.append(path)
         summary.append(
             (scheme, region.n_noncovert, region.area_m2, region.area_fraction)
@@ -294,9 +288,8 @@ def cmd_rate(cfg: ExperimentConfig, out_dir: str, plan_file: Optional[str]) -> L
 def cmd_optimize(cfg: ExperimentConfig, out_dir: str, plan_file: Optional[str]) -> List[str]:
     g = cfg.geometry()
     bob = cfg.bob()
-    box = cfg.box_half_width_hz if cfg.box_half_width_hz else cfg.f_delta_hz / 2.0
-    ramp = np.clip(linear_fda_plan(g, cfg.f_delta_hz).offsets(), -box, box)
-    result = optimize_offsets(g, bob, box, config=cfg.solver(), extra_starts=[ramp])
+    box = box_half_width(cfg.f_delta_hz, cfg.box_half_width_hz)
+    result = optimize_offsets(g, bob, box, config=cfg.solver())
     payload = {
         "generator": f"fdacovert {__version__}",
         "config_sha256": cfg.sha256(),
@@ -313,17 +306,9 @@ def cmd_optimize(cfg: ExperimentConfig, out_dir: str, plan_file: Optional[str]) 
         "offsets_hz": list(result.offsets_hz),
     }
     path = os.path.join(out_dir, "optimize.json")
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=".json")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with _atomic_text_file(path) as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return [path]
 
 
@@ -369,8 +354,6 @@ def _selftest_checks(cfg: ExperimentConfig):
         return True
 
     def check_map_determinism():
-        from .fieldmap import GridSpec
-
         small = GridSpec(0.0, 8.0, 0.0, 8.0, 0.1)
         plan = _plan_for(cfg, "RandomFDA", seed=1)
         a = evaluate_grid(g, plan, bob, small, n_threads=1)

@@ -24,59 +24,61 @@ class ConfigError(ValueError):
     """Invalid configuration file, key or value."""
 
 
-# (section, key) -> (expected type tag, default as config text)
-_SCHEMA: Dict[Tuple[str, str], Tuple[str, str]] = {
-    ("geometry", "n_antennas"): ("int", "64"),
-    ("geometry", "carrier_hz"): ("float", "3e9"),
-    ("geometry", "spacing_m"): ("optfloat", ""),
-    ("plan", "scheme"): ("str", "RandomFDA"),
-    ("plan", "f_delta_hz"): ("float", "1e6"),
-    ("plan", "seed"): ("int", "0"),
-    ("plan", "box_half_width_hz"): ("optfloat", ""),
-    ("bob", "r_m"): ("float", "7.0711"),
-    ("bob", "theta_deg"): ("float", "45"),
-    ("budget", "p_t_dbm"): ("float", "20"),
-    ("budget", "sigma_b_dbm"): ("float", "-60"),
-    ("budget", "sigma_w_dbm"): ("float", "-60"),
-    ("budget", "epsilon"): ("float", "1.0"),
-    ("budget", "blocklength"): ("int", "100"),
-    ("budget", "delta_fep"): ("float", "1e-5"),
-    ("grid", "x_min_m"): ("float", "0"),
-    ("grid", "x_max_m"): ("float", "40"),
-    ("grid", "y_min_m"): ("float", "0"),
-    ("grid", "y_max_m"): ("float", "40"),
-    ("grid", "step_m"): ("float", "0.05"),
-    ("grid", "max_cells"): ("int", "10000000"),
-    ("threshold", "mode"): ("str", "fraction"),
-    ("threshold", "value"): ("float", "0.1"),
-    ("sweep", "schemes"): ("strlist", "LPA,LinearFDA,RandomFDA,OptimizedFDA"),
-    ("sweep", "n_values"): ("intlist", "16,32,64"),
-    ("sweep", "f_delta_values_hz"): ("floatlist", "0.25e6,0.5e6,1e6,2e6"),
-    ("sweep", "seeds"): ("intlist", "0,1,2,3,4,5,6,7,8,9"),
-    ("mc", "n_samples"): ("int", "100000"),
-    ("mc", "seed"): ("int", "2025"),
+# One row per option: (section, key, ExperimentConfig field, type tag,
+# default as config text).  The dataclass fields, describe() and
+# build_config all derive from this table.
+_SCHEMA: Tuple[Tuple[str, str, str, str, str], ...] = (
+    ("geometry", "n_antennas", "n_antennas", "int", "64"),
+    ("geometry", "carrier_hz", "carrier_hz", "float", "3e9"),
+    ("geometry", "spacing_m", "spacing_m", "optfloat", ""),
+    ("plan", "scheme", "scheme", "str", "RandomFDA"),
+    ("plan", "f_delta_hz", "f_delta_hz", "float", "1e6"),
+    ("plan", "seed", "seed", "int", "0"),
+    ("plan", "box_half_width_hz", "box_half_width_hz", "optfloat", ""),
+    ("bob", "r_m", "bob_r_m", "float", "7.0711"),
+    ("bob", "theta_deg", "bob_theta_deg", "float", "45"),
+    ("budget", "p_t_dbm", "p_t_dbm", "float", "20"),
+    ("budget", "sigma_b_dbm", "sigma_b_dbm", "float", "-60"),
+    ("budget", "sigma_w_dbm", "sigma_w_dbm", "float", "-60"),
+    ("budget", "epsilon", "epsilon", "float", "1.0"),
+    ("budget", "blocklength", "blocklength", "int", "100"),
+    ("budget", "delta_fep", "delta_fep", "float", "1e-5"),
+    ("grid", "x_min_m", "x_min_m", "float", "0"),
+    ("grid", "x_max_m", "x_max_m", "float", "40"),
+    ("grid", "y_min_m", "y_min_m", "float", "0"),
+    ("grid", "y_max_m", "y_max_m", "float", "40"),
+    ("grid", "step_m", "step_m", "float", "0.05"),
+    ("grid", "max_cells", "max_cells", "int", "10000000"),
+    ("threshold", "mode", "threshold_mode", "str", "fraction"),
+    ("threshold", "value", "threshold_value", "float", "0.1"),
+    ("sweep", "schemes", "sweep_schemes", "strlist",
+     "LPA,LinearFDA,RandomFDA,OptimizedFDA"),
+    ("sweep", "n_values", "sweep_n_values", "intlist", "16,32,64"),
+    ("sweep", "f_delta_values_hz", "sweep_f_delta_values_hz", "floatlist",
+     "0.25e6,0.5e6,1e6,2e6"),
+    ("sweep", "seeds", "sweep_seeds", "intlist", "0,1,2,3,4,5,6,7,8,9"),
+    ("mc", "n_samples", "mc_n_samples", "int", "100000"),
+    ("mc", "seed", "mc_seed", "int", "2025"),
+)
+_KEYS = frozenset((section, key) for section, key, *_ in _SCHEMA)
+
+# type tag -> (parser of config text, field annotation)
+_TAGS = {
+    "int": (int, int),
+    "float": (float, float),
+    "optfloat": (lambda text: float(text) if text.strip() else None, Optional[float]),
+    "str": (str.strip, str),
+    "strlist": (lambda text: tuple(s.strip() for s in text.split(",") if s.strip()), tuple),
+    "intlist": (lambda text: tuple(int(s) for s in text.split(",") if s.strip()), tuple),
+    "floatlist": (lambda text: tuple(float(s) for s in text.split(",") if s.strip()), tuple),
 }
 
 
 def _coerce(tag: str, text: str, where: str):
     try:
-        if tag == "int":
-            return int(text)
-        if tag == "float":
-            return float(text)
-        if tag == "optfloat":
-            return float(text) if text.strip() else None
-        if tag == "str":
-            return text.strip()
-        if tag == "strlist":
-            return tuple(s.strip() for s in text.split(",") if s.strip())
-        if tag == "intlist":
-            return tuple(int(s) for s in text.split(",") if s.strip())
-        if tag == "floatlist":
-            return tuple(float(s) for s in text.split(",") if s.strip())
+        return _TAGS[tag][0](text)
     except ValueError as exc:
         raise ConfigError(f"{where}: cannot parse {text!r} as {tag}") from exc
-    raise ConfigError(f"{where}: unknown schema tag {tag}")
 
 
 def parse_config_text(text: str, source: str = "<config>") -> Dict[Tuple[str, str], Tuple[str, str]]:
@@ -99,7 +101,7 @@ def parse_config_text(text: str, source: str = "<config>") -> Dict[Tuple[str, st
             raise ConfigError(f"{where}: key outside any [section]")
         key, value = line.split("=", 1)
         sk = (section, key.strip())
-        if sk not in _SCHEMA:
+        if sk not in _KEYS:
             raise ConfigError(f"{where}: unknown option {section}.{key.strip()}")
         entries[sk] = (value.strip(), where)
     return entries
@@ -115,49 +117,25 @@ def parse_overrides(pairs: List[str]) -> Dict[Tuple[str, str], Tuple[str, str]]:
         dotted, value = pair.split("=", 1)
         section, key = dotted.split(".", 1)
         sk = (section.strip(), key.strip())
-        if sk not in _SCHEMA:
+        if sk not in _KEYS:
             raise ConfigError(f"{where}: unknown option {sk[0]}.{sk[1]}")
         entries[sk] = (value.strip(), where)
     return entries
 
 
-@dataclass(frozen=True)
+def _schema_fields(cls):
+    """Declare one frozen dataclass field per _SCHEMA row, in table order."""
+    cls.__annotations__ = {name: _TAGS[tag][1] for _, _, name, tag, _ in _SCHEMA}
+    return dataclass(frozen=True)(cls)
+
+
+@_schema_fields
 class ExperimentConfig:
-    """Validated, fully resolved experiment settings."""
+    """Validated, fully resolved experiment settings (fields from _SCHEMA)."""
 
-    n_antennas: int
-    carrier_hz: float
-    spacing_m: Optional[float]
-    scheme: str
-    f_delta_hz: float
-    seed: int
-    box_half_width_hz: Optional[float]
-    bob_r_m: float
-    bob_theta_deg: float
-    p_t_dbm: float
-    sigma_b_dbm: float
-    sigma_w_dbm: float
-    epsilon: float
-    blocklength: int
-    delta_fep: float
-    x_min_m: float
-    x_max_m: float
-    y_min_m: float
-    y_max_m: float
-    step_m: float
-    max_cells: int
-    threshold_mode: str
-    threshold_value: float
-    sweep_schemes: tuple
-    sweep_n_values: tuple
-    sweep_f_delta_values_hz: tuple
-    sweep_seeds: tuple
-    mc_n_samples: int
-    mc_seed: int
-
-    def geometry(self, n_antennas: Optional[int] = None) -> ArrayGeometry:
+    def geometry(self) -> ArrayGeometry:
         return ArrayGeometry(
-            n_antennas=n_antennas or self.n_antennas,
+            n_antennas=self.n_antennas,
             carrier_hz=self.carrier_hz,
             spacing_m=self.spacing_m or 0.0,
         )
@@ -203,40 +181,13 @@ class ExperimentConfig:
 
     def describe(self) -> List[str]:
         """Canonical section.key=value lines of the resolved config."""
-        values = {
-            ("geometry", "n_antennas"): self.n_antennas,
-            ("geometry", "carrier_hz"): self.carrier_hz,
-            ("geometry", "spacing_m"): self.spacing_m,
-            ("plan", "scheme"): self.scheme,
-            ("plan", "f_delta_hz"): self.f_delta_hz,
-            ("plan", "seed"): self.seed,
-            ("plan", "box_half_width_hz"): self.box_half_width_hz,
-            ("bob", "r_m"): self.bob_r_m,
-            ("bob", "theta_deg"): self.bob_theta_deg,
-            ("budget", "p_t_dbm"): self.p_t_dbm,
-            ("budget", "sigma_b_dbm"): self.sigma_b_dbm,
-            ("budget", "sigma_w_dbm"): self.sigma_w_dbm,
-            ("budget", "epsilon"): self.epsilon,
-            ("budget", "blocklength"): self.blocklength,
-            ("budget", "delta_fep"): self.delta_fep,
-            ("grid", "x_min_m"): self.x_min_m,
-            ("grid", "x_max_m"): self.x_max_m,
-            ("grid", "y_min_m"): self.y_min_m,
-            ("grid", "y_max_m"): self.y_max_m,
-            ("grid", "step_m"): self.step_m,
-            ("grid", "max_cells"): self.max_cells,
-            ("threshold", "mode"): self.threshold_mode,
-            ("threshold", "value"): self.threshold_value,
-            ("sweep", "schemes"): ",".join(self.sweep_schemes),
-            ("sweep", "n_values"): ",".join(str(v) for v in self.sweep_n_values),
-            ("sweep", "f_delta_values_hz"): ",".join(
-                repr(v) for v in self.sweep_f_delta_values_hz
-            ),
-            ("sweep", "seeds"): ",".join(str(s) for s in self.sweep_seeds),
-            ("mc", "n_samples"): self.mc_n_samples,
-            ("mc", "seed"): self.mc_seed,
-        }
-        return [f"{s}.{k}={values[(s, k)]}" for s, k in sorted(values)]
+        lines = []
+        for section, key, name, tag, _ in sorted(_SCHEMA):
+            value = getattr(self, name)
+            if tag.endswith("list"):
+                value = ",".join(str(v) for v in value)
+            lines.append(f"{section}.{key}={value}")
+        return lines
 
     def sha256(self) -> str:
         return hashlib.sha256("\n".join(self.describe()).encode()).hexdigest()
@@ -249,75 +200,37 @@ def build_config(
 ) -> ExperimentConfig:
     """Merge defaults, an optional config file and --set overrides."""
     merged: Dict[Tuple[str, str], Tuple[str, str]] = {
-        sk: (default, "<default>") for sk, (_, default) in _SCHEMA.items()
+        (section, key): (default, "<default>") for section, key, _, _, default in _SCHEMA
     }
     if file_text is not None:
         merged.update(parse_config_text(file_text, source))
     if overrides:
         merged.update(parse_overrides(overrides))
 
-    vals = {}
-    for sk, (tag, _) in _SCHEMA.items():
-        text, where = merged[sk]
-        vals[sk] = (_coerce(tag, text, where), where)
-
-    def v(section, key):
-        return vals[(section, key)][0]
-
-    def where(section, key):
-        return vals[(section, key)][1]
-
-    cfg = ExperimentConfig(
-        n_antennas=v("geometry", "n_antennas"),
-        carrier_hz=v("geometry", "carrier_hz"),
-        spacing_m=v("geometry", "spacing_m"),
-        scheme=v("plan", "scheme"),
-        f_delta_hz=v("plan", "f_delta_hz"),
-        seed=v("plan", "seed"),
-        box_half_width_hz=v("plan", "box_half_width_hz"),
-        bob_r_m=v("bob", "r_m"),
-        bob_theta_deg=v("bob", "theta_deg"),
-        p_t_dbm=v("budget", "p_t_dbm"),
-        sigma_b_dbm=v("budget", "sigma_b_dbm"),
-        sigma_w_dbm=v("budget", "sigma_w_dbm"),
-        epsilon=v("budget", "epsilon"),
-        blocklength=v("budget", "blocklength"),
-        delta_fep=v("budget", "delta_fep"),
-        x_min_m=v("grid", "x_min_m"),
-        x_max_m=v("grid", "x_max_m"),
-        y_min_m=v("grid", "y_min_m"),
-        y_max_m=v("grid", "y_max_m"),
-        step_m=v("grid", "step_m"),
-        max_cells=v("grid", "max_cells"),
-        threshold_mode=v("threshold", "mode"),
-        threshold_value=v("threshold", "value"),
-        sweep_schemes=v("sweep", "schemes"),
-        sweep_n_values=v("sweep", "n_values"),
-        sweep_f_delta_values_hz=v("sweep", "f_delta_values_hz"),
-        sweep_seeds=v("sweep", "seeds"),
-        mc_n_samples=v("mc", "n_samples"),
-        mc_seed=v("mc", "seed"),
-    )
+    values, where = {}, {}
+    for section, key, name, tag, _ in _SCHEMA:
+        text, where[name] = merged[(section, key)]
+        values[name] = _coerce(tag, text, where[name])
+    cfg = ExperimentConfig(**values)
 
     # semantic validation with the offending location attached
     if cfg.scheme not in SCHEMES:
-        raise ConfigError(
-            f"{where('plan', 'scheme')}: unknown scheme {cfg.scheme!r}"
-        )
+        raise ConfigError(f"{where['scheme']}: unknown scheme {cfg.scheme!r}")
     for s in cfg.sweep_schemes:
         if s not in SCHEMES:
-            raise ConfigError(f"{where('sweep', 'schemes')}: unknown scheme {s!r}")
+            raise ConfigError(f"{where['sweep_schemes']}: unknown scheme {s!r}")
     if cfg.threshold_mode not in ("fraction", "kl"):
-        raise ConfigError(
-            f"{where('threshold', 'mode')}: mode must be 'fraction' or 'kl'"
-        )
+        raise ConfigError(f"{where['threshold_mode']}: mode must be 'fraction' or 'kl'")
     if cfg.threshold_mode == "fraction" and not 0.0 < cfg.threshold_value <= 1.0:
+        raise ConfigError(f"{where['threshold_value']}: fraction must lie in (0, 1]")
+    if cfg.box_half_width_hz is not None and not cfg.box_half_width_hz > 0:
         raise ConfigError(
-            f"{where('threshold', 'value')}: fraction must lie in (0, 1]"
+            f"{where['box_half_width_hz']}: box_half_width_hz must be > 0, "
+            f"got {cfg.box_half_width_hz}"
         )
     if not -90.0 < cfg.bob_theta_deg < 90.0:
         raise ConfigError(
-            f"{where('bob', 'theta_deg')}: angle must lie strictly inside (-90, 90)"
+            f"{where['bob_theta_deg']}: angle must lie strictly inside (-90, 90)"
         )
     try:
         cfg.geometry()

@@ -15,14 +15,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
-from .channel import FrequencyPlan, wrapped_propagation_phases
+from .channel import FrequencyPlan, focus_correlation
 from .geometry import SPEED_OF_LIGHT, ArrayGeometry, DomainError, PolarPoint
 
 FOUR_PI_SQ = 4.0 * math.pi**2
+_K4 = FOUR_PI_SQ / SPEED_OF_LIGHT**2
+
+# projected-gradient multi-start solver settings
+_MAX_ITERS = 400
+_N_RANDOM_STARTS = 8
+_ARMIJO_C = 1e-4
+_BACKTRACK = 0.5
+_GROW = 1.5
+_REL_TOL = 1e-12
 
 
 class DegenerateEllipseError(ValueError):
@@ -38,9 +46,14 @@ def psi_vector(g: ArrayGeometry, plan: FrequencyPlan, r_b_m: float) -> np.ndarra
     if r_b_m <= 0:
         raise DomainError(f"r_b_m must be > 0, got {r_b_m}")
     plan.check_length(g)
+    return _psi(g, plan.offsets(), r_b_m)
+
+
+def _psi(g: ArrayGeometry, offsets_hz: np.ndarray, r_b_m: float) -> np.ndarray:
+    """psi_n for raw offsets; shared by psi_vector and the optimizer's objective."""
     delta = np.arange(g.n_antennas, dtype=float)
     curvature = g.carrier_hz * g.spacing_m**2 / (2.0 * r_b_m**2)
-    return curvature * delta * delta - plan.offsets()
+    return curvature * delta * delta - offsets_hz
 
 
 def _angular_scale(g: ArrayGeometry, bob: PolarPoint) -> float:
@@ -58,15 +71,18 @@ def g_coefficients(g: ArrayGeometry, plan: FrequencyPlan, bob: PolarPoint):
     The pairwise double sums reduce through sum(a_n - a_m)^2 =
     2 N sum(a^2) - 2 (sum a)^2 and its bilinear analogue.
     """
-    n = g.n_antennas
     psi = psi_vector(g, plan, bob.r_m)
-    kappa = _angular_scale(g, bob)
-    k4 = FOUR_PI_SQ / SPEED_OF_LIGHT**2
+    return _g_terms(g, psi, _angular_scale(g, bob))
+
+
+def _g_terms(g: ArrayGeometry, psi: np.ndarray, kappa: float):
+    """(g1, g2, g3) from psi and the angular scale kappa = f_c d cos(theta_b)."""
+    n = g.n_antennas
     delta = np.arange(n, dtype=float)
     s_psi = float(psi.sum())
-    g1 = k4 * (2.0 * n * float(psi @ psi) - 2.0 * s_psi**2)
-    g2 = k4 * kappa * (2.0 * n * float(psi @ delta) - 2.0 * s_psi * float(delta.sum()))
-    g3 = k4 * kappa**2 * (n * n * (n * n - 1) / 6.0)
+    g1 = _K4 * (2.0 * n * float(psi @ psi) - 2.0 * s_psi**2)
+    g2 = _K4 * kappa * (2.0 * n * float(psi @ delta) - 2.0 * s_psi * float(delta.sum()))
+    g3 = _K4 * kappa**2 * (n * n * (n * n - 1) / 6.0)
     return g1, g2, g3
 
 
@@ -98,13 +114,7 @@ class EllipseModel:
     g3: float
     q_tilde: float
     area: float
-    psi_hz: np.ndarray
     empty_region: bool
-
-    def __post_init__(self):
-        p = np.asarray(self.psi_hz, dtype=float)
-        p.setflags(write=False)
-        object.__setattr__(self, "psi_hz", p)
 
 
 def build_ellipse_model(
@@ -118,20 +128,8 @@ def build_ellipse_model(
         g3=coeffs[2],
         q_tilde=q_tilde,
         area=area,
-        psi_hz=psi_vector(g, plan, bob.r_m),
         empty_region=q_tilde >= 1.0,
     )
-
-
-def _correlation(g: ArrayGeometry, plan: FrequencyPlan, bob: PolarPoint,
-                 dr: float, dtheta: float) -> float:
-    """|sum_n e^{j z_n}|^2 at (r_b + dr, theta_b + dtheta)."""
-    r = bob.r_m + dr
-    sin_t = math.sin(bob.theta_rad + dtheta)
-    ph = wrapped_propagation_phases(g, plan, r, sin_t) - wrapped_propagation_phases(
-        g, plan, bob.r_m, math.sin(bob.theta_rad)
-    )
-    return float(np.abs(np.exp(1j * ph).sum()) ** 2)
 
 
 def hessian_consistency(
@@ -153,7 +151,8 @@ def hessian_consistency(
     h, k = dr_step, dtheta_step
 
     def f(dr, dth):
-        return _correlation(g, plan, bob, dr, dth)
+        p = PolarPoint(bob.r_m + dr, bob.theta_rad + dth)
+        return focus_correlation(g, plan, bob, p)
 
     g1_fd = (2.0 * n2 - f(h, 0.0) - f(-h, 0.0)) / h**2
     g3_fd = (2.0 * n2 - f(0.0, k) - f(0.0, -k)) / k**2
@@ -179,33 +178,20 @@ def objective_and_gradient(
     if f.shape != (n,):
         raise DomainError(f"expected {n} offsets, got shape {f.shape}")
     kappa = _angular_scale(g, bob)
-    k4 = FOUR_PI_SQ / SPEED_OF_LIGHT**2
+    psi = _psi(g, f, bob.r_m)
+    g1, g2, g3 = _g_terms(g, psi, kappa)
     delta = np.arange(n, dtype=float)
-    curvature = g.carrier_hz * g.spacing_m**2 / (2.0 * bob.r_m**2)
-    psi = curvature * delta * delta - f
-    s_psi = psi.sum()
-    g1 = k4 * (2.0 * n * float(psi @ psi) - 2.0 * s_psi**2)
-    g2 = k4 * kappa * (2.0 * n * float(psi @ delta) - 2.0 * s_psi * float(delta.sum()))
-    g3 = k4 * kappa**2 * (n * n * (n * n - 1) / 6.0)
-    m0_psi = n * psi - s_psi
+    m0_psi = n * psi - psi.sum()
     m0_delta = n * delta - delta.sum()
-    grad = -4.0 * k4 * g3 * m0_psi + 4.0 * k4 * kappa * g2 * m0_delta
+    grad = -4.0 * _K4 * g3 * m0_psi + 4.0 * _K4 * kappa * g2 * m0_delta
     return float(g1 * g3 - g2 * g2), grad
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Deterministic settings for the projected-gradient multi-start solver."""
+    """Seed of the multi-start solver's random starts."""
 
-    max_iters: int = 400
-    n_random_starts: int = 8
     seed: int = 0
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
-    grow: float = 1.5
-    rel_tol: float = 1e-12
-    vertex_polish: bool = True
-    linear_start_increment_hz: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -217,7 +203,7 @@ class OptimizeResult:
     converged: bool
 
 
-def _ascent_from(g, bob, x0, box, cfg):
+def _ascent_from(g, bob, x0, box):
     """Projected-gradient ascent with backtracking from one start point."""
     x = np.clip(np.asarray(x0, dtype=float), -box, box)
     j, grad = objective_and_gradient(g, bob, x)
@@ -225,21 +211,21 @@ def _ascent_from(g, bob, x0, box, cfg):
     t = box / gmax if gmax > 0 else box
     it = 0
     stalls = 0
-    while it < cfg.max_iters:
+    while it < _MAX_ITERS:
         it += 1
         x_new = np.clip(x + t * grad, -box, box)
         move = x_new - x
         j_new, grad_new = objective_and_gradient(g, bob, x_new)
-        if j_new >= j + cfg.armijo_c * float(grad @ move) and j_new > j:
+        if j_new >= j + _ARMIJO_C * float(grad @ move) and j_new > j:
             x, j, grad = x_new, j_new, grad_new
-            t *= cfg.grow
+            t *= _GROW
             stalls = 0
         else:
-            t *= cfg.backtrack
+            t *= _BACKTRACK
             stalls += 1
             if stalls > 60:
                 break
-        if np.allclose(move, 0.0) or (j != 0 and abs(j_new - j) <= cfg.rel_tol * abs(j) and stalls == 0):
+        if np.allclose(move, 0.0) or (j != 0 and abs(j_new - j) <= _REL_TOL * abs(j) and stalls == 0):
             break
     return x, j, it
 
@@ -274,35 +260,33 @@ def optimize_offsets(
     bob: PolarPoint,
     box_half_width_hz: float,
     config: OptimizerConfig = OptimizerConfig(),
-    extra_starts: Sequence[np.ndarray] = (),
 ) -> OptimizeResult:
     """Maximize J over the box, multi-start, always returning the best iterate.
 
-    Start set: the zero plan, the box-clipped linear ramp, seeded random
-    interior points, then any caller-supplied extras.  Ties keep the lowest
-    start index, so results are reproducible for a fixed config.
+    Start set: start 0 is the zero plan (LPA); start 1 is the centred linear
+    ramp with increment 2*box, clipped to the box (at the default box F/2
+    this is exactly the box-clipped LinearFDA plan); then come 8 interior
+    points drawn uniformly from the box by PCG64 seeded with config.seed.
+    Each start is ascended, then polished to a box vertex.  Ties keep the
+    lowest start index, so results are reproducible for a fixed seed, and
+    the returned objective dominates the zero plan's.
     """
     if box_half_width_hz <= 0:
         raise DomainError(f"box_half_width_hz must be > 0, got {box_half_width_hz}")
     n = g.n_antennas
     box = float(box_half_width_hz)
-    f_lin = config.linear_start_increment_hz
-    if f_lin is None:
-        f_lin = 2.0 * box
-    ramp = ((n + 1) / 2.0 - np.arange(1, n + 1)) * f_lin
+    ramp = ((n + 1) / 2.0 - np.arange(1, n + 1)) * (2.0 * box)
     rng = np.random.default_rng(config.seed)
     starts = [np.zeros(n), np.clip(ramp, -box, box)]
-    starts += [rng.uniform(-box, box, n) for _ in range(config.n_random_starts)]
-    starts += [np.asarray(s, dtype=float) for s in extra_starts]
+    starts += [rng.uniform(-box, box, n) for _ in range(_N_RANDOM_STARTS)]
 
     best = None
     for idx, x0 in enumerate(starts):
-        x, j, iters = _ascent_from(g, bob, x0, box, config)
-        converged = iters < config.max_iters
-        if config.vertex_polish:
-            v, jv = _polish_to_vertex(g, bob, x, box)
-            if jv > j:
-                x, j = v, jv
+        x, j, iters = _ascent_from(g, bob, x0, box)
+        converged = iters < _MAX_ITERS
+        v, jv = _polish_to_vertex(g, bob, x, box)
+        if jv > j:
+            x, j = v, jv
         if best is None or j > best.objective:
             best = OptimizeResult(
                 offsets_hz=tuple(float(v) for v in x),

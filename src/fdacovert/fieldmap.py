@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import schemes as _schemes
 from .channel import (
     SCHEME_RANDOM,
     TWO_PI,
@@ -28,11 +27,10 @@ from .channel import (
     channel_gain_amplitude,
     channel_vector,
     covert_rate,
+    focus_correlation,
     mrt_weights,
     snr_bob,
-    wrapped_propagation_phases,
 )
-from .ellipse import OptimizerConfig
 from .geometry import (
     SPEED_OF_LIGHT,
     ArrayGeometry,
@@ -41,6 +39,7 @@ from .geometry import (
     polar_to_cartesian,
     rayleigh_distance,
 )
+from .schemes import OptimizerConfig, build_plan
 
 THREADS_ENV_VAR = "FDACOVERT_THREADS"
 
@@ -154,12 +153,8 @@ def beampattern_at(
     Exactly N * beta^2(r_b) times the warden beam gain |h_p^H w_b|^2 computed
     from absolute-phase channel vectors; tests assert the two routes agree.
     """
-    ph = wrapped_propagation_phases(
-        g, plan, p.r_m, math.sin(p.theta_rad)
-    ) - wrapped_propagation_phases(g, plan, bob.r_m, math.sin(bob.theta_rad))
-    s = np.exp(1j * ph).sum()
     scale = channel_gain_amplitude(g, p.r_m) * channel_gain_amplitude(g, bob.r_m)
-    return float((scale / g.n_antennas) ** 2 * np.abs(s) ** 2)
+    return float((scale / g.n_antennas) ** 2 * focus_correlation(g, plan, bob, p))
 
 
 def _correlation_block(n_antennas, k, c1, c2, ref, xs, y_block):
@@ -213,9 +208,10 @@ def evaluate_grid(
     """Normalized beampattern correlation on every grid cell.
 
     Cell (iy, ix) holds the value at node (x_i, y_i); the r = 0 node (the
-    array origin) is flagged invalid as NaN.  Row blocks are evaluated in
-    parallel with disjoint writes, so the result is identical for any
-    thread count.
+    array origin) is flagged invalid as NaN, so a focus within step/2 of the
+    origin leaves nothing to normalize by and raises DomainError.  Row
+    blocks are evaluated in parallel with disjoint writes, so the result is
+    identical for any thread count.
     """
     freqs = plan.frequencies_hz(g)  # validates length, warns on huge offsets
     k = TWO_PI * freqs / SPEED_OF_LIGHT
@@ -251,6 +247,11 @@ def evaluate_grid(
         normalizer = 1.0
     else:
         normalizer = float(values[bob_cell])
+        if not (math.isfinite(normalizer) and normalizer > 0.0):
+            raise DomainError(
+                f"focus cell {bob_cell} has correlation {normalizer}; the focus "
+                "must not share the origin's grid cell"
+            )
         values /= normalizer
 
     corner_r = max(
@@ -334,29 +335,6 @@ def extract_noncovert(
         threshold_mode=threshold_mode,
         threshold_value=threshold_value,
     )
-
-
-def build_plan(
-    scheme: str,
-    g: ArrayGeometry,
-    bob: PolarPoint,
-    f_delta_hz: float,
-    seed: int = 0,
-    solver: OptimizerConfig = OptimizerConfig(),
-    box_half_width_hz: Optional[float] = None,
-) -> FrequencyPlan:
-    """Construct the plan for a scheme tag (sweep/CLI convenience)."""
-    if scheme == "LPA":
-        return _schemes.lpa_plan(g)
-    if scheme == "LinearFDA":
-        return _schemes.linear_fda_plan(g, f_delta_hz)
-    if scheme == "RandomFDA":
-        return _schemes.random_fda_plan(g, f_delta_hz, seed)
-    if scheme == "OptimizedFDA":
-        return _schemes.optimized_fda_plan(
-            g, bob, f_delta_hz, solver=solver, box_half_width_hz=box_half_width_hz
-        )
-    raise DomainError(f"unknown scheme {scheme!r}")
 
 
 def sweep(

@@ -73,6 +73,11 @@ def random_fda_plan(g: ArrayGeometry, f_delta_hz: float, seed: int) -> Frequency
     )
 
 
+def box_half_width(f_delta_hz: float, box_half_width_hz: Optional[float] = None) -> float:
+    """The optimizer's per-antenna box |f_dn| <= f_delta_hz/2, unless overridden."""
+    return f_delta_hz / 2.0 if box_half_width_hz is None else box_half_width_hz
+
+
 def optimized_fda_plan(
     g: ArrayGeometry,
     bob: PolarPoint,
@@ -83,20 +88,16 @@ def optimized_fda_plan(
     """Offsets maximizing the boundary-ellipse objective over the box.
 
     The feasible box defaults to |f_dn| <= f_delta_hz/2; box_half_width_hz
-    overrides it for exploration.  The solver's multi-start set always
-    contains the zero plan and the box-clipped linear ramp, so the returned
-    objective dominates both.
+    overrides it for exploration.  optimize_offsets owns the start set: the
+    zero plan, the centred ramp with increment 2*box clipped to the box (the
+    box-clipped LinearFDA plan at the default box) and seeded random interior
+    points.  The returned objective therefore dominates the LPA plan's and,
+    at the default box, the box-clipped LinearFDA plan's.
     """
     if f_delta_hz <= 0:
         raise DomainError(f"f_delta_hz must be > 0, got {f_delta_hz}")
-    box = f_delta_hz / 2.0 if box_half_width_hz is None else box_half_width_hz
-    if solver.linear_start_increment_hz is None:
-        ramp_source = linear_fda_plan(g, f_delta_hz).offsets()
-    else:
-        ramp_source = linear_fda_plan(g, solver.linear_start_increment_hz).offsets()
-    result = optimize_offsets(
-        g, bob, box, config=solver, extra_starts=[np.clip(ramp_source, -box, box)]
-    )
+    box = box_half_width(f_delta_hz, box_half_width_hz)
+    result = optimize_offsets(g, bob, box, config=solver)
     if not result.converged:
         raise SolverDidNotConverge(result)
     return FrequencyPlan(
@@ -105,3 +106,26 @@ def optimized_fda_plan(
         scheme=SCHEME_OPTIMIZED,
         seed=solver.seed,
     )
+
+
+def build_plan(
+    scheme: str,
+    g: ArrayGeometry,
+    bob: PolarPoint,
+    f_delta_hz: float,
+    seed: int = 0,
+    solver: OptimizerConfig = OptimizerConfig(),
+    box_half_width_hz: Optional[float] = None,
+) -> FrequencyPlan:
+    """Construct the plan for a scheme tag (sweep/CLI convenience)."""
+    if scheme == SCHEME_LPA:
+        return lpa_plan(g)
+    if scheme == SCHEME_LINEAR:
+        return linear_fda_plan(g, f_delta_hz)
+    if scheme == SCHEME_RANDOM:
+        return random_fda_plan(g, f_delta_hz, seed)
+    if scheme == SCHEME_OPTIMIZED:
+        return optimized_fda_plan(
+            g, bob, f_delta_hz, solver=solver, box_half_width_hz=box_half_width_hz
+        )
+    raise DomainError(f"unknown scheme {scheme!r}")

@@ -241,3 +241,78 @@ def test_rate_output_rows(tmp_path):
     assert schemes.count("LPA") == 1
     for r in rows:
         assert 0.0 <= float(r[2]) <= float(r[4]) + 1e-12
+
+
+DEFAULT_DESCRIBE = [
+    "bob.r_m=7.0711",
+    "bob.theta_deg=45.0",
+    "budget.blocklength=100",
+    "budget.delta_fep=1e-05",
+    "budget.epsilon=1.0",
+    "budget.p_t_dbm=20.0",
+    "budget.sigma_b_dbm=-60.0",
+    "budget.sigma_w_dbm=-60.0",
+    "geometry.carrier_hz=3000000000.0",
+    "geometry.n_antennas=64",
+    "geometry.spacing_m=None",
+    "grid.max_cells=10000000",
+    "grid.step_m=0.05",
+    "grid.x_max_m=40.0",
+    "grid.x_min_m=0.0",
+    "grid.y_max_m=40.0",
+    "grid.y_min_m=0.0",
+    "mc.n_samples=100000",
+    "mc.seed=2025",
+    "plan.box_half_width_hz=None",
+    "plan.f_delta_hz=1000000.0",
+    "plan.scheme=RandomFDA",
+    "plan.seed=0",
+    "sweep.f_delta_values_hz=250000.0,500000.0,1000000.0,2000000.0",
+    "sweep.n_values=16,32,64",
+    "sweep.schemes=LPA,LinearFDA,RandomFDA,OptimizedFDA",
+    "sweep.seeds=0,1,2,3,4,5,6,7,8,9",
+    "threshold.mode=fraction",
+    "threshold.value=0.1",
+]
+
+
+def test_config_table_is_pinned_and_round_trips():
+    # describe() feeds every output header and config_sha256: pin it
+    default = build_config()
+    assert default.describe() == DEFAULT_DESCRIBE
+    assert default.sha256() == (
+        "fbec32427598c02a9b73826b2b73c293026140a7bd721a19d75fef52201c5122"
+    )
+    custom = build_config(overrides=[
+        "geometry.spacing_m=0.04", "plan.box_half_width_hz=2e6",
+        "sweep.schemes=LPA,OptimizedFDA", "sweep.f_delta_values_hz=1e5,3.5e6",
+        "threshold.mode=kl", "mc.seed=7",
+    ])
+    for cfg in (default, custom):
+        # an unset optional value prints as None and is written back empty
+        pairs = [l[: -len("None")] if l.endswith("=None") else l for l in cfg.describe()]
+        assert len(pairs) == 29
+        from_set = build_config(overrides=pairs)
+        sections = {}
+        for pair in pairs:
+            dotted, value = pair.split("=", 1)
+            section, key = dotted.split(".", 1)
+            sections.setdefault(section, []).append(f"{key} = {value}")
+        text = "\n".join(
+            f"[{s}]\n" + "\n".join(lines) for s, lines in sections.items()
+        )
+        from_file = build_config(text, source="all.cfg")
+        assert from_set == cfg and from_file == cfg
+        assert from_set.sha256() == from_file.sha256() == cfg.sha256()
+
+
+@pytest.mark.parametrize("sub", ["optimize", "region"])
+@pytest.mark.parametrize("box", ["0", "-1"])
+def test_non_positive_box_is_a_config_error(tmp_path, capsys, sub, box):
+    out = str(tmp_path / "out")
+    args = [sub, "--out", out, "--set", f"plan.box_half_width_hz={box}"] + FAST
+    assert run_cli(args) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "box_half_width_hz" in err
+    assert "--set 'plan.box_half_width_hz" in err
+    assert not os.path.exists(out) or not os.listdir(out)

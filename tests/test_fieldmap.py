@@ -317,3 +317,14 @@ def test_grid_beyond_rayleigh_is_flagged():
     assert fmap.metadata["grid_exceeds_rayleigh"]
     fmap64 = evaluate_grid(G, lpa_plan(G), BOB, SMALL)
     assert not fmap64.metadata["grid_exceeds_rayleigh"]
+
+
+def test_focus_in_origin_cell_raises():
+    # the focus rounds onto the r = 0 node, whose value is NaN: no normalizer
+    coarse = GridSpec(0.0, 4.0, 0.0, 4.0, 0.5)
+    near_origin = PolarPoint(0.1, math.radians(45.0))
+    for plan in (lpa_plan(G), linear_fda_plan(G, 1e6)):
+        with pytest.raises(DomainError, match="origin"):
+            evaluate_grid(G, plan, near_origin, coarse)
+    with pytest.raises(DomainError, match="origin"):
+        monte_carlo_rate(G, lpa_plan(G), near_origin, BUDGET, coarse, 100, seed=0)
