@@ -78,13 +78,17 @@ def _atomic_text_file(path: str):
 
 
 def emit_csv(path: str, header: Sequence[str], rows: Iterable[Sequence], metadata: dict) -> None:
-    """Write a CSV with '# key=value' metadata lines, atomically."""
+    """Write a CSV with '# key=value' metadata lines, atomically.
+
+    A row is a sequence of values, formatted with fmt, or a str of whole,
+    already formatted lines, written as it is.
+    """
     with _atomic_text_file(path) as fh:
         for key in sorted(metadata):
             fh.write(f"# {key}={metadata[key]}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+            fh.write(row if isinstance(row, str) else ",".join(fmt(v) for v in row) + "\n")
 
 
 def read_field_csv(path: str):
@@ -123,12 +127,26 @@ def _base_metadata(cfg: ExperimentConfig, subcommand: str) -> dict:
     return meta
 
 
+def _grid_row_text(x_text: Sequence[str], y_text: str, row: np.ndarray) -> str:
+    """Lines 'x,y,value' of one grid row, each value exactly as fmt writes it.
+
+    The row is formatted in one repr of its list, which joins the repr of
+    each value with ', '.  With one more ', ' appended, every value ends at
+    a separator, so '.0, ' marks exactly the trailing '.0' fmt strips from
+    a float; zip drops the empty piece after the last separator.  A bool
+    row is read as the integers 0/1, which is how fmt writes a bool.
+    """
+    if row.dtype == np.bool_:
+        row = row.view(np.uint8)
+    values = (repr(row.tolist())[1:-1] + ", ").replace(".0, ", ", ").split(", ")
+    return "".join([f"{x},{y_text},{v}\n" for x, v in zip(x_text, values)])
+
+
 def _grid_rows(spec: GridSpec, column: np.ndarray):
-    """(x, y, column[iy, ix]) per cell, y-outer row-major."""
-    xs, ys = spec.xs(), spec.ys()
-    for iy in range(spec.n_y):
-        for ix in range(spec.n_x):
-            yield xs[ix], ys[iy], column[iy, ix]
+    """One text block per grid row of column: 'x,y,value' lines, y-outer row-major."""
+    x_text = [fmt(x) for x in spec.xs()]
+    for y, row in zip(spec.ys(), column):
+        yield _grid_row_text(x_text, fmt(y), row)
 
 
 def _plan_for(cfg: ExperimentConfig, scheme: str, seed=None) -> FrequencyPlan:

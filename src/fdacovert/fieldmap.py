@@ -291,6 +291,8 @@ def extract_noncovert(
     """Boolean non-covert mask, its cell-counted area and area fraction.
 
     fraction mode: non-covert where value >= threshold_value (0 < t < 1).
+    The fraction is of the focus cell's value, so a focus off the grid
+    (map left unnormalized) raises DomainError.
     kl mode: threshold_value is the detection threshold q applied to the
     warden beam gain |h_w^H w|^2 = value * ref * beta^2(r_cell) / N.
     Threshold equality is non-covert (closed region).  The mask is stored
@@ -301,6 +303,11 @@ def extract_noncovert(
         if not 0.0 < threshold_value <= 1.0:
             raise DomainError(
                 f"fractional threshold must lie in (0, 1], got {threshold_value}"
+            )
+        if fmap.metadata["bob_cell"] is None:
+            raise DomainError(
+                "a fractional threshold needs the focus on the grid to normalize "
+                "by; use the kl threshold mode or a grid that contains the focus"
             )
         with np.errstate(invalid="ignore"):
             mask = fmap.values >= threshold_value

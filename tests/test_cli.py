@@ -6,9 +6,13 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdacovert import ArrayGeometry, GridSpec, PolarPoint, evaluate_grid, lpa_plan
-from fdacovert.cli import emit_csv, fmt, main, read_field_csv
+from fdacovert import cli, schemes
+from fdacovert.cli import _grid_row_text, emit_csv, fmt, main, read_field_csv
+from fdacovert.ellipse import OptimizeResult
 from fdacovert.config import ConfigError, build_config, load_config
 
 # keep CLI-driven runs quick: a coarse grid and small sweeps
@@ -316,3 +320,119 @@ def test_non_positive_box_is_a_config_error(tmp_path, capsys, sub, box):
     assert "config error" in err and "box_half_width_hz" in err
     assert "--set 'plan.box_half_width_hz" in err
     assert not os.path.exists(out) or not os.listdir(out)
+
+
+# ------------------------------------------------ grid rows written in blocks
+
+FLOAT_SPECIALS = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+    2.2250738585072014e-308, 1e16, -1e16, 1.0, 10.0, 1e22, 2.0**70,
+]
+row_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from(FLOAT_SPECIALS),
+    st.floats(min_value=0.0, max_value=2.2250738585072014e-308),  # subnormals
+    st.integers(min_value=-(10**300), max_value=10**300).map(float),
+    st.integers(min_value=10**15, max_value=10**20).map(float),  # repr turns to 1e+16
+    st.integers(min_value=-1000, max_value=1000).map(float),
+)
+
+
+def per_cell_text(xs, y, row):
+    return "".join(",".join(fmt(v) for v in (x, y, value)) + "\n" for x, value in zip(xs, row))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.lists(st.tuples(row_floats, row_floats), min_size=0, max_size=40),
+    y=row_floats,
+)
+def test_grid_row_text_matches_fmt_per_cell(data, y):
+    xs = [x for x, _ in data]
+    row = np.array([v for _, v in data], dtype=np.float64)
+    text = _grid_row_text([fmt(x) for x in xs], fmt(y), row)
+    assert text == per_cell_text(xs, y, row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.lists(st.tuples(row_floats, st.booleans()), max_size=40), y=row_floats)
+def test_grid_row_text_matches_fmt_for_masks(data, y):
+    xs = [x for x, _ in data]
+    row = np.array([m for _, m in data], dtype=bool)
+    text = _grid_row_text([fmt(x) for x in xs], fmt(y), row)
+    assert text == per_cell_text(xs, y, row)
+
+
+@pytest.mark.parametrize("sub", ["heatmap", "region"])
+def test_grid_csvs_equal_per_cell_reference(tmp_path, monkeypatch, sub):
+    # every map the subcommand evaluated, with the mask region stores on it
+    fmaps = []
+    evaluate = cli.evaluate_grid
+
+    def recording_evaluate(*args, **kwargs):
+        fmaps.append(evaluate(*args, **kwargs))
+        return fmaps[-1]
+
+    monkeypatch.setattr(cli, "evaluate_grid", recording_evaluate)
+    out = str(tmp_path / "out")
+    assert run_cli([sub, "--out", out] + FAST) == 0
+    assert len(fmaps) == 4
+    column = "normalized_power" if sub == "heatmap" else "non_covert"
+    for fmap in fmaps:
+        data = fmap.values if sub == "heatmap" else fmap.mask
+        xs, ys = fmap.spec.xs(), fmap.spec.ys()
+        body = "".join(
+            ",".join(fmt(v) for v in (xs[ix], ys[iy], data[iy, ix])) + "\n"
+            for iy in range(fmap.spec.n_y)
+            for ix in range(fmap.spec.n_x)
+        )
+        text = read_bytes(os.path.join(out, f"{sub}_{fmap.metadata['scheme']}.csv")).decode()
+        head, sep, rest = text.partition(f"\nx_m,y_m,{column}\n")
+        assert sep and all(line.startswith("# ") for line in head.split("\n"))
+        assert rest == body
+    if sub == "heatmap":
+        assert "nan" in body  # the origin node
+        assert ",1\n" in body  # the focus cell, normalized to exactly 1
+
+
+# ------------------------------------------------------- runtime error paths
+
+def test_solver_not_converged_exits_2(tmp_path, capsys, monkeypatch):
+    def capped(g, bob, box, config=None):
+        return OptimizeResult(
+            offsets_hz=(0.0,) * g.n_antennas,
+            objective=0.0,
+            start_index=0,
+            iterations=400,
+            converged=False,
+        )
+
+    monkeypatch.setattr(schemes, "optimize_offsets", capped)
+    out = str(tmp_path / "out")
+    args = ["region", "--out", out, "--set", "sweep.schemes=OptimizedFDA"] + FAST
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "iteration cap" in err
+    assert not os.path.exists(out) or not os.listdir(out)
+
+
+OFF_GRID = [
+    "--set", "grid.x_max_m=3",
+    "--set", "grid.y_max_m=3",
+    "--set", "grid.step_m=0.25",
+    "--set", "sweep.schemes=LPA",
+]
+
+
+def test_fraction_region_with_focus_off_grid_exits_2(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    with pytest.warns(UserWarning, match="outside the grid"):
+        assert run_cli(["region", "--out", out] + OFF_GRID) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "focus" in err
+    assert not os.path.exists(out) or not os.listdir(out)
+    # the kl threshold uses the raw correlation and needs no normalizer
+    args = ["region", "--out", out, "--set", "threshold.mode=kl"] + OFF_GRID
+    with pytest.warns(UserWarning, match="outside the grid"):
+        assert run_cli(args) == 0
+    assert os.path.exists(os.path.join(out, "region_LPA.csv"))

@@ -328,3 +328,16 @@ def test_focus_in_origin_cell_raises():
             evaluate_grid(G, plan, near_origin, coarse)
     with pytest.raises(DomainError, match="origin"):
         monte_carlo_rate(G, lpa_plan(G), near_origin, BUDGET, coarse, 100, seed=0)
+
+
+def test_fraction_threshold_refuses_focus_off_grid():
+    tiny = GridSpec(0.0, 2.0, 0.0, 2.0, 0.1)
+    with pytest.warns(UserWarning, match="outside the grid"):
+        fmap = evaluate_grid(G, lpa_plan(G), BOB, tiny)
+    with pytest.raises(DomainError, match="focus"):
+        extract_noncovert(fmap, "fraction", 0.1)
+    # kl mode thresholds the raw correlation: still defined off the grid
+    q = CovertnessBudget(1.0, 100, 1e-9, 0.1).threshold_q
+    region = extract_noncovert(fmap, "kl", q)
+    assert region.n_noncovert > 0
+    assert region.mask.shape == fmap.values.shape
