@@ -5,10 +5,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Optional
 
 import numpy as np
-from scipy.special import erfcinv
 
 from .geometry import (
     SPEED_OF_LIGHT,
@@ -233,10 +233,10 @@ def snr_bob(budget: LinkBudget, h_b: ChannelVector, w: np.ndarray) -> float:
 
 
 def inverse_q(delta: float) -> float:
-    """Inverse of the Gaussian tail function Q, via sqrt(2)*erfcinv(2*delta)."""
+    """Inverse of the Gaussian tail function Q, Q^-1(delta) = -Phi^-1(delta)."""
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
-    return math.sqrt(2.0) * float(erfcinv(2.0 * delta))
+    return -NormalDist().inv_cdf(delta)
 
 
 def covert_rate_components(gamma_b: float, blocklength: int, delta: float):

@@ -32,6 +32,7 @@ from .config import ConfigError, ExperimentConfig, load_config
 from .covertness import xi, xi_inv
 from .ellipse import objective_and_gradient, optimize_offsets
 from .fieldmap import GridSpec, evaluate_grid, extract_noncovert, monte_carlo_rate, sweep
+from .geometry import DomainError
 from .schemes import (
     RegionSpec,
     box_half_width,
@@ -175,21 +176,31 @@ def _plan_for(cfg: ExperimentConfig, scheme: str, seed=None) -> FrequencyPlan:
 
 
 def _load_plan_file(path: str) -> FrequencyPlan:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return FrequencyPlan(
-        offsets_hz=tuple(data["offsets_hz"]),
-        base_increment_hz=data["f_delta_hz"],
-        scheme=data.get("scheme", SCHEME_OPTIMIZED),
-        seed=data.get("seed"),
-    )
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        return FrequencyPlan(
+            offsets_hz=tuple(data["offsets_hz"]),
+            base_increment_hz=data["f_delta_hz"],
+            scheme=data.get("scheme", SCHEME_OPTIMIZED),
+            seed=data.get("seed"),
+        )
+    except KeyError as exc:
+        raise ConfigError(f"plan file {path} has no key {exc}") from exc
+    except (OSError, ValueError, TypeError) as exc:
+        raise ConfigError(f"cannot read plan file {path}: {exc}") from exc
 
 
-def cmd_heatmap(cfg: ExperimentConfig, out_dir: str, plan_file: Optional[str]) -> List[str]:
+def cmd_heatmap(cfg: ExperimentConfig, out_dir: str) -> List[str]:
     written = []
     for scheme in cfg.sweep_schemes:
         plan = _plan_for(cfg, scheme)
         fmap = evaluate_grid(cfg.geometry(), plan, cfg.bob(), cfg.grid())
+        if fmap.metadata["bob_cell"] is None:
+            raise DomainError(
+                "heatmap values are normalized to the focus cell, and the focus "
+                "lies outside the grid; use a grid that contains the focus"
+            )
         meta = _base_metadata(cfg, "heatmap")
         meta.update(scheme=scheme, seed=fmt(plan.seed), step_m=fmt(cfg.step_m))
         path = os.path.join(out_dir, f"heatmap_{scheme}.csv")
@@ -281,7 +292,7 @@ def _cmd_sweep(cfg: ExperimentConfig, out_dir: str, parameter: str) -> List[str]
     return [path]
 
 
-def cmd_rate(cfg: ExperimentConfig, out_dir: str, plan_file: Optional[str]) -> List[str]:
+def cmd_rate(cfg: ExperimentConfig, out_dir: str) -> List[str]:
     mode, value = cfg.effective_threshold()
     rows = []
     for scheme in cfg.sweep_schemes:
@@ -316,7 +327,7 @@ def cmd_rate(cfg: ExperimentConfig, out_dir: str, plan_file: Optional[str]) -> L
     return [path]
 
 
-def cmd_optimize(cfg: ExperimentConfig, out_dir: str, plan_file: Optional[str]) -> List[str]:
+def cmd_optimize(cfg: ExperimentConfig, out_dir: str) -> List[str]:
     """optimize.json: the OptimizedFDA plan that the other subcommands build.
 
     J's optimum is the starting point; once the solve has converged, the
@@ -412,7 +423,7 @@ def _selftest_checks(cfg: ExperimentConfig):
     ]
 
 
-def cmd_selftest(cfg: ExperimentConfig, out_dir: str, plan_file: Optional[str]) -> List[str]:
+def cmd_selftest(cfg: ExperimentConfig, out_dir: str) -> List[str]:
     failures = 0
     for name, check in _selftest_checks(cfg):
         try:
@@ -451,16 +462,15 @@ def make_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument(
-        "--plan", help="plan JSON emitted by 'optimize', consumed by 'region'"
+        "--plan", help="plan JSON emitted by 'optimize'; accepted only by 'region'"
     )
     return parser
 
 
 _HANDLERS = {
     "heatmap": cmd_heatmap,
-    "region": cmd_region,
-    "sweep-n": lambda cfg, out, plan: _cmd_sweep(cfg, out, "n_antennas"),
-    "sweep-fdelta": lambda cfg, out, plan: _cmd_sweep(cfg, out, "f_delta"),
+    "sweep-n": lambda cfg, out: _cmd_sweep(cfg, out, "n_antennas"),
+    "sweep-fdelta": lambda cfg, out: _cmd_sweep(cfg, out, "f_delta"),
     "rate": cmd_rate,
     "optimize": cmd_optimize,
     "selftest": cmd_selftest,
@@ -470,9 +480,16 @@ _HANDLERS = {
 def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = make_parser().parse_args(argv)
+        if args.plan is not None and args.subcommand != "region":
+            raise ConfigError(
+                f"--plan is accepted only by 'region', not by '{args.subcommand}'"
+            )
         cfg = load_config(args.config, args.overrides)
         os.makedirs(args.out, exist_ok=True)
-        written = _HANDLERS[args.subcommand](cfg, args.out, args.plan)
+        if args.subcommand == "region":
+            written = cmd_region(cfg, args.out, args.plan)
+        else:
+            written = _HANDLERS[args.subcommand](cfg, args.out)
         for path in written:
             print(f"wrote {path}")
         return 0

@@ -233,12 +233,8 @@ def evaluate_grid(
             g.n_antennas, k, c1, c2, ref, xs, ys[i0:i1]
         )
 
-    if threads == 1:
-        for b in blocks:
-            fill(b)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, blocks))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(fill, blocks))
 
     bob_xy = polar_to_cartesian(bob)
     bob_cell = spec.cell_of(bob_xy.x_m, bob_xy.y_m)
@@ -357,7 +353,6 @@ def sweep(
     threshold_value: float = 0.1,
     solver: OptimizerConfig = OptimizerConfig(),
     box_half_width_hz: Optional[float] = None,
-    n_threads: Optional[int] = None,
 ) -> list:
     """Area fractions versus antenna count or frequency increment.
 
@@ -391,7 +386,7 @@ def sweep(
                     scheme, g_v, bob, f_v, seed=seed, solver=solver,
                     box_half_width_hz=box_half_width_hz, region=target,
                 )
-                fmap = evaluate_grid(g_v, plan, bob, grid, n_threads=n_threads)
+                fmap = evaluate_grid(g_v, plan, bob, grid)
                 region = extract_noncovert(fmap, threshold_mode, threshold_value)
                 fractions.append(region.area_fraction)
             arr = np.asarray(fractions)
@@ -419,7 +414,6 @@ def monte_carlo_rate(
     seed: int,
     threshold_mode: str = "fraction",
     threshold_value: float = 0.1,
-    n_threads: Optional[int] = None,
 ) -> RateResult:
     """Mean covert rate over uniformly random warden positions.
 
@@ -430,7 +424,7 @@ def monte_carlo_rate(
     """
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
-    fmap = evaluate_grid(g, plan, bob, grid, n_threads=n_threads)
+    fmap = evaluate_grid(g, plan, bob, grid)
     region = extract_noncovert(fmap, threshold_mode, threshold_value)
 
     h_b = channel_vector(g, plan, bob)

@@ -3,6 +3,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -322,6 +325,32 @@ def test_non_positive_box_is_a_config_error(tmp_path, capsys, sub, box):
     assert not os.path.exists(out) or not os.listdir(out)
 
 
+@pytest.mark.parametrize(
+    "sub", ["heatmap", "sweep-n", "sweep-fdelta", "rate", "optimize", "selftest"]
+)
+def test_plan_outside_region_is_a_config_error(tmp_path, capsys, sub):
+    out = str(tmp_path / "out")
+    args = [sub, "--out", out, "--plan", str(tmp_path / "missing.json")] + FAST
+    assert run_cli(args) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "--plan" in err and "'region'" in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "text", [None, "{not json", '{"f_delta_hz": 1e6}', "[1, 2]", '{"offsets_hz": 5}']
+)
+def test_unreadable_or_malformed_plan_is_a_config_error(tmp_path, capsys, text):
+    path = tmp_path / "plan.json"
+    if text is not None:
+        path.write_text(text)
+    out = str(tmp_path / "out")
+    assert run_cli(["region", "--out", out, "--plan", str(path)] + FAST) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and f"plan file {path}" in err
+    assert not os.path.exists(out) or not os.listdir(out)
+
+
 # ------------------------------------------------ grid rows written in blocks
 
 FLOAT_SPECIALS = [
@@ -436,3 +465,35 @@ def test_fraction_region_with_focus_off_grid_exits_2(tmp_path, capsys):
     with pytest.warns(UserWarning, match="outside the grid"):
         assert run_cli(args) == 0
     assert os.path.exists(os.path.join(out, "region_LPA.csv"))
+
+
+def test_heatmap_with_focus_off_grid_exits_2(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    with pytest.warns(UserWarning, match="outside the grid"):
+        assert run_cli(["heatmap", "--out", out] + OFF_GRID) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "focus" in err
+    assert not os.path.exists(out) or not os.listdir(out)
+
+
+# ----------------------------------------------------- runtime dependencies
+
+def test_cli_runs_without_scipy(tmp_path):
+    # pytest itself imports scipy as the inverse_q oracle, so the check runs
+    # in a fresh interpreter that sees only this package and the site packages
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = textwrap.dedent(
+        f"""
+        import sys
+        from fdacovert.cli import main
+        for sub in ("optimize", "rate", "selftest"):
+            assert main([sub, "--out", {str(tmp_path)!r}] + {FAST!r}) == 0, sub
+        loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+        assert not loaded, loaded
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
