@@ -62,6 +62,7 @@ from .fieldmap import (
     evaluate_grid,
     extract_noncovert,
     monte_carlo_rate,
+    noncovert_region,
     sweep,
 )
 from .geometry import (

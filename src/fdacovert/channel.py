@@ -143,9 +143,10 @@ def wrapped_propagation_phases(
 ) -> np.ndarray:
     """Absolute propagation phases k_n * r_n(r, theta), wrapped to [0, 2*pi).
 
-    This is the shared kernel behind the channel vectors, the beampattern
-    and the grid engine; sharing it keeps independently computed routes
-    comparable at ~1e-14 despite multi-thousand-radian raw phases.
+    The per-point phases of the absolute-phase channel vectors and of
+    focus_correlation (so of beampattern_at); wrapping keeps the two routes
+    comparable at ~1e-14 despite multi-thousand-radian raw phases.  The
+    grid paths form their phases in fieldmap instead.
     """
     plan.check_length(g)
     k = TWO_PI * (g.carrier_hz + plan.offsets()) / SPEED_OF_LIGHT

@@ -2,7 +2,8 @@
 
 Subcommands: heatmap, region, sweep-n, sweep-fdelta, rate, optimize, selftest.
 Every output file embeds a metadata header (config hash, seeds, version) and
-is written via a temp file + rename, so a failed run leaves nothing behind.
+is written via a temp file + rename, and a failed run removes the output
+directory if it made it and it is still empty, so it leaves nothing behind.
 Exit codes: 0 success, 1 config error, 2 runtime error, 3 selftest failure.
 """
 
@@ -31,7 +32,15 @@ from .channel import (
 from .config import ConfigError, ExperimentConfig, load_config
 from .covertness import xi, xi_inv
 from .ellipse import objective_and_gradient, optimize_offsets
-from .fieldmap import GridSpec, evaluate_grid, extract_noncovert, monte_carlo_rate, sweep
+from .fieldmap import (
+    GridSpec,
+    evaluate_grid,
+    extract_noncovert,
+    float32_error,
+    monte_carlo_rate,
+    noncovert_region,
+    sweep,
+)
 from .geometry import DomainError
 from .schemes import (
     RegionSpec,
@@ -406,12 +415,22 @@ def _selftest_checks(cfg: ExperimentConfig):
                 return False
         return True
 
+    small = GridSpec(0.0, 8.0, 0.0, 8.0, 0.1)
+
     def check_map_determinism():
-        small = GridSpec(0.0, 8.0, 0.0, 8.0, 0.1)
         plan = _plan_for(cfg, "RandomFDA", seed=1)
         a = evaluate_grid(g, plan, bob, small, n_threads=1)
         b = evaluate_grid(g, plan, bob, small, n_threads=3)
         return np.array_equal(a.values, b.values, equal_nan=True)
+
+    def check_certified_mask():
+        # the float32 error bound rests on numpy's float32 sin/cos accuracy
+        plan = _plan_for(cfg, "RandomFDA", seed=1)
+        mode, value = cfg.effective_threshold()
+        error, bound = float32_error(g, plan, bob, small)
+        exact = extract_noncovert(evaluate_grid(g, plan, bob, small), mode, value)
+        certified = noncovert_region(g, plan, bob, small, mode, value)
+        return error <= bound and np.array_equal(exact.mask, certified.mask)
 
     return [
         ("xi inverse round-trip", check_xi_roundtrip),
@@ -420,6 +439,7 @@ def _selftest_checks(cfg: ExperimentConfig):
         ("MRT weights and SNR", check_mrt_snr),
         ("objective gradient vs finite differences", check_gradient),
         ("grid thread-count invariance", check_map_determinism),
+        ("certified mask matches float64 mask", check_certified_mask),
     ]
 
 
@@ -477,6 +497,17 @@ _HANDLERS = {
 }
 
 
+def _make_out_dir(path: str) -> List[str]:
+    """Create the output directory; return the directories made, deepest first."""
+    created = []
+    head = os.path.abspath(path)
+    while not os.path.isdir(head):
+        created.append(head)
+        head = os.path.dirname(head)
+    os.makedirs(path, exist_ok=True)
+    return created
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = make_parser().parse_args(argv)
@@ -485,11 +516,19 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"--plan is accepted only by 'region', not by '{args.subcommand}'"
             )
         cfg = load_config(args.config, args.overrides)
-        os.makedirs(args.out, exist_ok=True)
-        if args.subcommand == "region":
-            written = cmd_region(cfg, args.out, args.plan)
-        else:
-            written = _HANDLERS[args.subcommand](cfg, args.out)
+        created = _make_out_dir(args.out)
+        try:
+            if args.subcommand == "region":
+                written = cmd_region(cfg, args.out, args.plan)
+            else:
+                written = _HANDLERS[args.subcommand](cfg, args.out)
+        except BaseException:
+            for path in created:  # deepest first; one with files in it stays
+                try:
+                    os.rmdir(path)
+                except OSError:
+                    break
+            raise
         for path in written:
             print(f"wrote {path}")
         return 0

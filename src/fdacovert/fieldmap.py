@@ -6,6 +6,15 @@ normalized so the cell containing the focus reads exactly 1.  The fractional
 threshold mode operates on these values; the absolute ("kl") mode applies the
 detection threshold q to the warden's physical beam gain |h_w^H w|^2, which
 re-includes the per-cell beta(r).
+
+Two paths share one phase formation (_element_phases):
+- the float64 value path, evaluate_grid and extract_noncovert, gives every
+  cell's value; heatmap and region print it, and it is the oracle of the
+  mask path;
+- the certified mask path, noncovert_region, gives only each cell's side of
+  the threshold, from float32 sin/cos plus a float64 recompute of the cells
+  within the float32 error bound of it, so its mask equals the value
+  path's cell for cell.  sweep and monte_carlo_rate use it.
 """
 
 from __future__ import annotations
@@ -157,61 +166,12 @@ def beampattern_at(
     return float((scale / g.n_antennas) ** 2 * focus_correlation(g, plan, bob, p))
 
 
-def _correlation_block(n_antennas, k, c1, c2, ref, xs, y_block):
-    """Raw correlation |sum e^{j phase}|^2 / N^2 for one row block.
+def _phase_coefficients(g: ArrayGeometry, plan: FrequencyPlan, bob: PolarPoint):
+    """Per element n, (k_n, c1_n, c2_n, ref_n) of its phase relative to the focus.
 
-    Unlike the per-point oracle path this skips the mod-2pi reduction (the
-    trig functions handle multi-thousand-radian arguments directly) and
-    accumulates real and imaginary parts in preallocated buffers; the two
-    paths agree to ~1e-12 relative.
-    """
-    x = xs[None, :]
-    y = y_block[:, None]
-    r = np.hypot(x, y)
-    origin = r == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_r = 1.0 / r
-        sin_t = y * inv_r
-    shape = r.shape
-    phase = np.empty(shape)
-    tmp = np.empty(shape)
-    trig = np.empty(shape)
-    acc_re = np.zeros(shape)
-    acc_im = np.zeros(shape)
-    with np.errstate(invalid="ignore"):
-        for n in range(n_antennas):
-            np.multiply(r, k[n], out=phase)
-            np.multiply(inv_r, c1[n], out=tmp)
-            phase += tmp
-            np.multiply(sin_t, c2[n], out=tmp)
-            phase -= tmp
-            phase -= ref[n]
-            np.cos(phase, out=trig)
-            acc_re += trig
-            np.sin(phase, out=trig)
-            acc_im += trig
-    np.multiply(acc_re, acc_re, out=phase)
-    np.multiply(acc_im, acc_im, out=tmp)
-    phase += tmp
-    phase /= n_antennas**2
-    phase[origin] = np.nan
-    return phase
-
-
-def evaluate_grid(
-    g: ArrayGeometry,
-    plan: FrequencyPlan,
-    bob: PolarPoint,
-    spec: GridSpec,
-    n_threads: Optional[int] = None,
-) -> FieldMap:
-    """Normalized beampattern correlation on every grid cell.
-
-    Cell (iy, ix) holds the value at node (x_i, y_i); the r = 0 node (the
-    array origin) is flagged invalid as NaN, so a focus within step/2 of the
-    origin leaves nothing to normalize by and raises DomainError.  Row
-    blocks are evaluated in parallel with disjoint writes, so the result is
-    identical for any thread count.
+    At a node (r, theta) the phase is k_n r + c1_n / r - c2_n sin(theta) - ref_n,
+    that is k_n times the Fresnel path difference
+    (r - r_b) + delta_n^2 d^2/2 (1/r - 1/r_b) - delta_n d (sin(theta) - sin(theta_b)).
     """
     freqs = plan.frequencies_hz(g)  # validates length, warns on huge offsets
     k = TWO_PI * freqs / SPEED_OF_LIGHT
@@ -220,36 +180,182 @@ def evaluate_grid(
     c1 = k * delta * delta * (d * d / 2.0)
     c2 = k * delta * d
     ref = k * bob.r_m + c1 / bob.r_m - c2 * math.sin(bob.theta_rad)
+    return k, c1, c2, ref
 
-    xs, ys = spec.xs(), spec.ys()
-    values = np.empty((spec.n_y, spec.n_x))
+
+class _Nodes:
+    """r, 1/r and sin(theta) of the grid nodes (x, y); x and y broadcast together."""
+
+    def __init__(self, x, y):
+        self.r = np.hypot(x, y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.inv_r = 1.0 / self.r
+            self.sin_t = y * self.inv_r
+
+
+def _element_phases(coeffs, nodes: _Nodes):
+    """Each element's phase at the nodes in turn, in one reused float64 buffer.
+
+    The one phase formation of both grid paths.  The phases are not reduced
+    (up to thousands of radians); the r = 0 node gets nan from 0 * inf, so
+    callers run this under np.errstate(invalid="ignore").
+    """
+    k, c1, c2, ref = coeffs
+    phase = np.empty(nodes.r.shape)
+    tmp = np.empty(nodes.r.shape)
+    for n in range(k.size):
+        np.multiply(nodes.r, k[n], out=phase)
+        np.multiply(nodes.inv_r, c1[n], out=tmp)
+        phase += tmp
+        np.multiply(nodes.sin_t, c2[n], out=tmp)
+        phase -= tmp
+        phase -= ref[n]
+        yield phase
+
+
+def _power(acc_re, acc_im, n_antennas):
+    """|S|^2 / N^2 from the phasor sum S = acc_re + j acc_im, in acc_re's buffer."""
+    acc_re *= acc_re
+    acc_im *= acc_im
+    acc_re += acc_im
+    acc_re /= n_antennas**2
+    return acc_re
+
+
+def _correlation_block(coeffs, x, y):
+    """Raw correlation |sum_n e^{j phase_n}|^2 / N^2 at the nodes (x, y): the value path.
+
+    float64 sin/cos on the unreduced phases, accumulated in float64; this
+    agrees with the per-point oracle, which reduces mod 2 pi, to ~1e-12
+    relative.  Every operation is elementwise, so a row block of the grid
+    and any gathered subset of its nodes get bit-identical values.  The
+    r = 0 node is nan.
+    """
+    nodes = _Nodes(x, y)
+    trig = np.empty(nodes.r.shape)
+    acc_re = np.zeros(nodes.r.shape)
+    acc_im = np.zeros(nodes.r.shape)
+    with np.errstate(invalid="ignore"):
+        for phase in _element_phases(coeffs, nodes):
+            np.cos(phase, out=trig)
+            acc_re += trig
+            np.sin(phase, out=trig)
+            acc_im += trig
+    return _power(acc_re, acc_im, coeffs[0].size)
+
+
+# The float32 kernel's error bound, in ulps of numpy's float32 sin and cos as
+# validated by numpy's umath-validation-set-{sin,cos}.csv, and its safety factor.
+_TRIG_ULPS = 2
+_SAFETY = 2.0
+
+
+def _float32_block(coeffs, nodes: _Nodes):
+    """(raw32, bound): the raw correlation via float32 sin/cos, and how far it may be off.
+
+    Each phase, formed in float64 as in _correlation_block, is reduced by
+    phase - 2 pi rint(phase / 2 pi), cast to float32 for sin and cos, and
+    the terms are accumulated in float64.  With eps = float32 eps = 2^-23,
+    per term e^{j phase_n} is off by at most
+        delta = 2 sqrt(2) eps           (2 ulps, of at most eps, in cos and sin)
+              + 2 eps                   (the cast of a |phase| < 4)
+              + eps64 (max|phase| + 6)  (the float64 reduction),
+    with max|phase| bounded over the block from max r and max 1/r.  So
+    |S32 - S64| / N <= delta, and since |S| <= N,
+    |raw32 - raw64| <= 2 delta + delta^2; float64 trig, accumulation and
+    squaring in both paths add 8 (N + 4) eps64.  bound is that sum, ~1.2e-6
+    for grids within a few hundred wavelengths; _mask_block recomputes
+    within _SAFETY = 2 times it.  The largest error measured on the default
+    maps is ~2e-8.
+    """
+    k, c1, c2, ref = coeffs
+    shape = nodes.r.shape
+    turns = np.empty(shape)
+    phase32 = np.empty(shape, dtype=np.float32)
+    trig = np.empty(shape, dtype=np.float32)
+    acc_re = np.zeros(shape)
+    acc_im = np.zeros(shape)
+    with np.errstate(invalid="ignore"):
+        for phase in _element_phases(coeffs, nodes):
+            np.multiply(phase, 1.0 / TWO_PI, out=turns)
+            np.rint(turns, out=turns)
+            turns *= TWO_PI
+            phase -= turns  # in the generator's buffer, rewritten next step
+            phase32[...] = phase
+            np.cos(phase32, out=trig)
+            acc_re += trig
+            np.sin(phase32, out=trig)
+            acc_im += trig
+    max_phase = (
+        np.max(np.abs(k)) * np.max(nodes.r)
+        + np.max(np.abs(c1)) * np.max(nodes.inv_r, where=nodes.r > 0.0, initial=0.0)
+        + np.max(np.abs(c2)) + np.max(np.abs(ref))
+    )
+    eps, eps64 = float(np.finfo(np.float32).eps), float(np.finfo(float).eps)
+    delta = math.sqrt(2.0) * _TRIG_ULPS * eps + 2.0 * eps + eps64 * (max_phase + 6.0)
+    bound = 2.0 * delta + delta * delta + 8.0 * (k.size + 4) * eps64
+    return _power(acc_re, acc_im, k.size), bound
+
+
+def _mask_block(coeffs, x, y, cut, decide):
+    """Non-covert mask at the nodes (x, y): the certified mask path.
+
+    cut(r) is the threshold in raw units at radius r.  A node whose float32
+    raw value lies more than _SAFETY times the _float32_block bound from cut
+    is on the side the float64 value would put it; decide(x, y) settles the
+    others from their float64 values.  No float64 value array outlives the
+    block.
+    """
+    nodes = _Nodes(x, y)
+    raw, bound = _float32_block(coeffs, nodes)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        threshold = cut(nodes.r)
+        mask = raw >= threshold
+        raw -= threshold
+        near = np.nonzero(np.abs(raw, out=raw) <= _SAFETY * bound)
+    if near[0].size:
+        shape = nodes.r.shape
+        mask[near] = decide(np.broadcast_to(x, shape)[near], np.broadcast_to(y, shape)[near])
+    return mask
+
+
+def _run_row_blocks(spec: GridSpec, n_threads: Optional[int], fill) -> None:
+    """fill(i0, i1) for each block of grid rows, on a thread pool.
+
+    The blocks are disjoint, so the result is the same for any thread count.
+    """
     threads = resolve_threads(n_threads)
     block_rows = max(16, spec.n_y // (threads * 8) or 16)
-    blocks = [(i, min(spec.n_y, i + block_rows)) for i in range(0, spec.n_y, block_rows)]
-
-    def fill(bounds):
-        i0, i1 = bounds
-        values[i0:i1] = _correlation_block(
-            g.n_antennas, k, c1, c2, ref, xs, ys[i0:i1]
-        )
-
+    starts = range(0, spec.n_y, block_rows)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(fill, blocks))
+        list(pool.map(lambda i0: fill(i0, min(spec.n_y, i0 + block_rows)), starts))
 
+
+def _focus_normalizer(coeffs, bob: PolarPoint, spec: GridSpec):
+    """(focus cell, its raw correlation), by which every value is normalized.
+
+    (None, 1.0) with a warning when the focus lies outside the grid, and
+    DomainError when it shares the origin's cell.
+    """
     bob_xy = polar_to_cartesian(bob)
     bob_cell = spec.cell_of(bob_xy.x_m, bob_xy.y_m)
     if bob_cell is None:
         warnings.warn("focus point lies outside the grid; peak normalization skipped")
-        normalizer = 1.0
-    else:
-        normalizer = float(values[bob_cell])
-        if not (math.isfinite(normalizer) and normalizer > 0.0):
-            raise DomainError(
-                f"focus cell {bob_cell} has correlation {normalizer}; the focus "
-                "must not share the origin's grid cell"
-            )
-        values /= normalizer
+        return None, 1.0
+    iy, ix = bob_cell
+    normalizer = float(
+        _correlation_block(coeffs, spec.xs()[ix:ix + 1], spec.ys()[iy:iy + 1])[0]
+    )
+    if not (math.isfinite(normalizer) and normalizer > 0.0):
+        raise DomainError(
+            f"focus cell {bob_cell} has correlation {normalizer}; the focus "
+            "must not share the origin's grid cell"
+        )
+    return bob_cell, normalizer
 
+
+def _beyond_rayleigh(g: ArrayGeometry, spec: GridSpec) -> bool:
+    """Whether the grid reaches past the Rayleigh distance, with a warning if so."""
     corner_r = max(
         math.hypot(x, y)
         for x in (spec.x_min_m, spec.x_max_m)
@@ -261,6 +367,35 @@ def evaluate_grid(
             "grid extends beyond the Rayleigh distance; the near-field model "
             "is extrapolated there"
         )
+    return exceeds
+
+
+def evaluate_grid(
+    g: ArrayGeometry,
+    plan: FrequencyPlan,
+    bob: PolarPoint,
+    spec: GridSpec,
+    n_threads: Optional[int] = None,
+) -> FieldMap:
+    """Normalized beampattern correlation on every grid cell: the value path.
+
+    Cell (iy, ix) holds the value at node (x_i, y_i); the r = 0 node (the
+    array origin) is flagged invalid as NaN, so a focus within step/2 of the
+    origin leaves nothing to normalize by and raises DomainError.  Row
+    blocks are evaluated in parallel with disjoint writes, so the result is
+    identical for any thread count.
+    """
+    coeffs = _phase_coefficients(g, plan, bob)
+    bob_cell, normalizer = _focus_normalizer(coeffs, bob, spec)
+    xs, ys = spec.xs(), spec.ys()
+    values = np.empty((spec.n_y, spec.n_x))
+
+    def fill(i0, i1):
+        values[i0:i1] = _correlation_block(coeffs, xs[None, :], ys[i0:i1, None])
+
+    _run_row_blocks(spec, n_threads, fill)
+    if bob_cell is not None:
+        values /= normalizer
 
     meta = {
         "scheme": plan.scheme,
@@ -274,11 +409,61 @@ def evaluate_grid(
         "bob_theta_rad": bob.theta_rad,
         "bob_cell": bob_cell,
         "bob_cell_raw_correlation": normalizer,
-        "grid_exceeds_rayleigh": exceeds,
+        "grid_exceeds_rayleigh": _beyond_rayleigh(g, spec),
         "plan": plan,
         "geometry": g,
     }
     return FieldMap(spec=spec, values=values, metadata=meta)
+
+
+def _check_threshold(threshold_mode: str, threshold_value: float, bob_cell) -> None:
+    if threshold_mode == "fraction":
+        if not 0.0 < threshold_value <= 1.0:
+            raise DomainError(
+                f"fractional threshold must lie in (0, 1], got {threshold_value}"
+            )
+        if bob_cell is None:
+            raise DomainError(
+                "a fractional threshold needs the focus on the grid to normalize "
+                "by; use the kl threshold mode or a grid that contains the focus"
+            )
+    elif threshold_mode == "kl":
+        if threshold_value <= 0:
+            raise DomainError(f"q must be > 0, got {threshold_value}")
+    else:
+        raise DomainError(f"unknown threshold mode {threshold_mode!r}")
+
+
+def _beta_sq(wavelength_m, r):
+    """Free-space power gain beta^2(r) = (lambda / (4 pi r))^2 of the nodes at radii r."""
+    return (wavelength_m / (4.0 * math.pi * r)) ** 2
+
+
+def _non_covert(values, threshold_mode, threshold_value, ref, wavelength_m, n_antennas, r):
+    """extract_noncovert's predicate on normalized values at radii r.
+
+    kl mode compares the warden gain value * ref * beta^2(r) / N with q and
+    excludes the r = 0 node.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if threshold_mode == "fraction":
+            return values >= threshold_value
+        gain = values * ref * _beta_sq(wavelength_m, r) / n_antennas
+        mask = gain >= threshold_value
+    mask[r == 0.0] = False
+    return mask
+
+
+def _region_result(spec: GridSpec, mask, threshold_mode, threshold_value) -> RegionResult:
+    count = int(np.count_nonzero(mask))
+    return RegionResult(
+        mask=mask,
+        n_noncovert=count,
+        area_m2=count * spec.step_m**2,
+        area_fraction=count / spec.n_cells,
+        threshold_mode=threshold_mode,
+        threshold_value=threshold_value,
+    )
 
 
 def extract_noncovert(
@@ -286,7 +471,7 @@ def extract_noncovert(
 ) -> RegionResult:
     """Boolean non-covert mask, its cell-counted area and area fraction.
 
-    fraction mode: non-covert where value >= threshold_value (0 < t < 1).
+    fraction mode: non-covert where value >= threshold_value (0 < t <= 1).
     The fraction is of the focus cell's value, so a focus off the grid
     (map left unnormalized) raises DomainError.
     kl mode: threshold_value is the detection threshold q applied to the
@@ -294,50 +479,84 @@ def extract_noncovert(
     Threshold equality is non-covert (closed region).  The mask is stored
     back onto the FieldMap.
     """
-    spec = fmap.spec
-    if threshold_mode == "fraction":
-        if not 0.0 < threshold_value <= 1.0:
-            raise DomainError(
-                f"fractional threshold must lie in (0, 1], got {threshold_value}"
-            )
-        if fmap.metadata["bob_cell"] is None:
-            raise DomainError(
-                "a fractional threshold needs the focus on the grid to normalize "
-                "by; use the kl threshold mode or a grid that contains the focus"
-            )
-        with np.errstate(invalid="ignore"):
-            mask = fmap.values >= threshold_value
-    elif threshold_mode == "kl":
-        if threshold_value <= 0:
-            raise DomainError(f"q must be > 0, got {threshold_value}")
-        lam = fmap.metadata["wavelength_m"]
-        n_ant = fmap.metadata["n_antennas"]
-        ref = fmap.metadata["bob_cell_raw_correlation"]
-        x = spec.xs()[None, :]
-        y = spec.ys()[:, None]
-        r = np.hypot(x, y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            beta_sq = (lam / (4.0 * math.pi * r)) ** 2
-            gain = fmap.values * ref * beta_sq / n_ant
-            mask = gain >= threshold_value
-        mask[r == 0.0] = False
-    else:
-        raise DomainError(f"unknown threshold mode {threshold_mode!r}")
-
-    count = int(np.count_nonzero(mask))
-    area = count * spec.step_m**2
-    fraction = count / spec.n_cells
-    fmap.mask = mask
-    fmap.metadata["threshold_mode"] = threshold_mode
-    fmap.metadata["threshold_value"] = threshold_value
-    return RegionResult(
-        mask=mask,
-        n_noncovert=count,
-        area_m2=area,
-        area_fraction=fraction,
-        threshold_mode=threshold_mode,
-        threshold_value=threshold_value,
+    spec, meta = fmap.spec, fmap.metadata
+    _check_threshold(threshold_mode, threshold_value, meta["bob_cell"])
+    r = np.hypot(spec.xs()[None, :], spec.ys()[:, None]) if threshold_mode == "kl" else None
+    mask = _non_covert(
+        fmap.values, threshold_mode, threshold_value, meta["bob_cell_raw_correlation"],
+        meta["wavelength_m"], meta["n_antennas"], r,
     )
+    fmap.mask = mask
+    meta["threshold_mode"] = threshold_mode
+    meta["threshold_value"] = threshold_value
+    return _region_result(spec, mask, threshold_mode, threshold_value)
+
+
+def noncovert_region(
+    g: ArrayGeometry,
+    plan: FrequencyPlan,
+    bob: PolarPoint,
+    spec: GridSpec,
+    threshold_mode: str = "fraction",
+    threshold_value: float = 0.1,
+    n_threads: Optional[int] = None,
+) -> RegionResult:
+    """extract_noncovert(evaluate_grid(...)) without the map: the certified mask path.
+
+    Areas, sweeps and rates need each cell's side of the threshold, not
+    its value.  Per row block, every cell is compared in raw units
+    (|S|^2 / N^2) with the threshold: t times the focus cell's raw value
+    (fraction mode) or q N / beta^2(r) (kl mode).  The raw value comes from
+    float32 sin/cos, ~30x cheaper than float64, and every cell within the
+    derived error bound of the threshold (see _float32_block) is recomputed
+    in float64 and put through extract_noncovert's own predicate.  The
+    focus cell's normalizer is the float64 kernel's value.  So the mask
+    equals the value path's cell for cell, and only a bool mask is ever
+    allocated for the whole grid.  Warnings and errors are evaluate_grid's
+    and extract_noncovert's.
+    """
+    coeffs = _phase_coefficients(g, plan, bob)
+    bob_cell, normalizer = _focus_normalizer(coeffs, bob, spec)
+    _beyond_rayleigh(g, spec)
+    _check_threshold(threshold_mode, threshold_value, bob_cell)
+    n, lam = g.n_antennas, g.wavelength_m
+    if threshold_mode == "fraction":
+        raw_cut = threshold_value * normalizer
+
+        def cut(r):
+            return raw_cut
+    else:
+
+        def cut(r):
+            return threshold_value * n / _beta_sq(lam, r)
+
+    def decide(x, y):
+        values = _correlation_block(coeffs, x, y) / normalizer
+        return _non_covert(
+            values, threshold_mode, threshold_value, normalizer, lam, n, np.hypot(x, y)
+        )
+
+    xs, ys = spec.xs(), spec.ys()
+    mask = np.empty((spec.n_y, spec.n_x), dtype=bool)
+
+    def fill(i0, i1):
+        mask[i0:i1] = _mask_block(coeffs, xs[None, :], ys[i0:i1, None], cut, decide)
+
+    _run_row_blocks(spec, n_threads, fill)
+    return _region_result(spec, mask, threshold_mode, threshold_value)
+
+
+def float32_error(g: ArrayGeometry, plan: FrequencyPlan, bob: PolarPoint, spec: GridSpec):
+    """(max |raw32 - raw64| over a small grid, the bound noncovert_region assumes for it).
+
+    The bound rests on numpy's float32 sin/cos being accurate to _TRIG_ULPS
+    ulps; this measures whether the installed numpy keeps it.  The grid is
+    evaluated as one block.
+    """
+    coeffs = _phase_coefficients(g, plan, bob)
+    x, y = spec.xs()[None, :], spec.ys()[:, None]
+    raw32, bound = _float32_block(coeffs, _Nodes(x, y))
+    return float(np.nanmax(np.abs(raw32 - _correlation_block(coeffs, x, y)))), bound
 
 
 def sweep(
@@ -386,8 +605,9 @@ def sweep(
                     scheme, g_v, bob, f_v, seed=seed, solver=solver,
                     box_half_width_hz=box_half_width_hz, region=target,
                 )
-                fmap = evaluate_grid(g_v, plan, bob, grid)
-                region = extract_noncovert(fmap, threshold_mode, threshold_value)
+                region = noncovert_region(
+                    g_v, plan, bob, grid, threshold_mode, threshold_value
+                )
                 fractions.append(region.area_fraction)
             arr = np.asarray(fractions)
             rows.append(
@@ -424,8 +644,7 @@ def monte_carlo_rate(
     """
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
-    fmap = evaluate_grid(g, plan, bob, grid)
-    region = extract_noncovert(fmap, threshold_mode, threshold_value)
+    region = noncovert_region(g, plan, bob, grid, threshold_mode, threshold_value)
 
     h_b = channel_vector(g, plan, bob)
     w = mrt_weights(h_b)

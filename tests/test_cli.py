@@ -497,3 +497,24 @@ def test_cli_runs_without_scipy(tmp_path):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_failed_run_removes_the_out_directory_it_made(tmp_path):
+    bad = tmp_path / "plan.json"
+    bad.write_text("{not json")
+    out = tmp_path / "made" / "out"
+    assert run_cli(["region", "--out", str(out), "--plan", str(bad)] + FAST) == 1
+    assert not (tmp_path / "made").exists()
+    with pytest.warns(UserWarning, match="outside the grid"):
+        assert run_cli(["heatmap", "--out", str(out)] + OFF_GRID) == 2
+    assert not (tmp_path / "made").exists()
+    # a directory that existed before the run stays, even if empty
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    assert run_cli(["region", "--out", str(existing), "--plan", str(bad)] + FAST) == 1
+    with pytest.warns(UserWarning, match="outside the grid"):
+        assert run_cli(["heatmap", "--out", str(existing / "sub")] + OFF_GRID) == 2
+    assert existing.is_dir() and not os.listdir(existing)
+    # a successful run keeps the directory it made, even with no file in it
+    assert run_cli(["selftest", "--out", str(out)]) == 0
+    assert out.is_dir()

@@ -341,3 +341,125 @@ def test_fraction_threshold_refuses_focus_off_grid():
     region = extract_noncovert(fmap, "kl", q)
     assert region.n_noncovert > 0
     assert region.mask.shape == fmap.values.shape
+
+
+# ------------------------------------------------- certified float32 mask path
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from fdacovert import build_plan, fieldmap, noncovert_region  # noqa: E402
+
+DESK = GridSpec(0.0, 8.0, 0.0, 8.0, 0.1)
+
+
+def gains(fmap):
+    """The warden gain of every cell, as extract_noncovert's kl mode forms it."""
+    meta = fmap.metadata
+    r = np.hypot(fmap.spec.xs()[None, :], fmap.spec.ys()[:, None])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        beta_sq = (meta["wavelength_m"] / (4.0 * math.pi * r)) ** 2
+        return fmap.values * meta["bob_cell_raw_correlation"] * beta_sq / meta["n_antennas"]
+
+
+def assert_same_region(exact, certified):
+    np.testing.assert_array_equal(certified.mask, exact.mask)
+    assert certified.n_noncovert == exact.n_noncovert
+    assert certified.area_m2 == exact.area_m2
+    assert certified.area_fraction == exact.area_fraction
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    scheme=st.sampled_from(["LPA", "LinearFDA", "RandomFDA", "OptimizedFDA"]),
+    n=st.sampled_from([8, 16, 64]),
+    seed=st.integers(0, 2**16),
+    fraction=st.floats(1e-4, 1.0),
+    q_quantile=st.floats(0.0, 1.0),
+    threads=st.sampled_from([1, 3]),
+)
+def test_certified_mask_equals_float64_mask(scheme, n, seed, fraction, q_quantile, threads):
+    g = ArrayGeometry(n_antennas=n, carrier_hz=3e9)
+    plan = build_plan(scheme, g, BOB, 1e6, seed=seed)
+    fmap = evaluate_grid(g, plan, BOB, DESK)
+    q = float(np.nanquantile(gains(fmap), q_quantile))
+    for mode, value in (("fraction", fraction), ("kl", q)):
+        exact = extract_noncovert(fmap, mode, value)
+        certified = noncovert_region(g, plan, BOB, DESK, mode, value, n_threads=threads)
+        assert_same_region(exact, certified)
+
+
+def test_certified_mask_with_focus_off_grid():
+    tiny = GridSpec(0.0, 2.0, 0.0, 2.0, 0.1)
+    q = CovertnessBudget(1.0, 100, 1e-9, 0.1).threshold_q
+    with pytest.warns(UserWarning, match="outside the grid"):
+        exact = extract_noncovert(evaluate_grid(G, lpa_plan(G), BOB, tiny), "kl", q)
+    with pytest.warns(UserWarning, match="outside the grid"):
+        assert_same_region(exact, noncovert_region(G, lpa_plan(G), BOB, tiny, "kl", q))
+    with pytest.warns(UserWarning, match="outside the grid"):
+        with pytest.raises(DomainError, match="focus"):
+            noncovert_region(G, lpa_plan(G), BOB, tiny, "fraction", 0.1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    low=st.floats(1e-3, 1.0),
+    high=st.floats(1e-3, 1.0),
+)
+def test_certified_mask_monotone_in_threshold(seed, low, high):
+    low, high = min(low, high), max(low, high)
+    plan = random_fda_plan(G, 1e6, seed)
+    q = CovertnessBudget(1.0, 100, 1e-9, 0.1).threshold_q
+    for mode, scale in (("fraction", 1.0), ("kl", q)):
+        loose = noncovert_region(G, plan, BOB, DESK, mode, low * scale).mask
+        strict = noncovert_region(G, plan, BOB, DESK, mode, high * scale).mask
+        assert not np.any(strict & ~loose)
+
+
+@settings(max_examples=10, deadline=None)
+@given(f_delta=st.floats(1e3, 1e8))
+def test_lpa_mask_invariant_in_increment(f_delta):
+    reference = noncovert_region(G, build_plan("LPA", G, BOB, 1e6), BOB, DESK)
+    region = noncovert_region(G, build_plan("LPA", G, BOB, f_delta), BOB, DESK)
+    np.testing.assert_array_equal(region.mask, reference.mask)
+
+
+def test_threshold_on_a_cell_value_is_decided_in_float64():
+    plan = random_fda_plan(G, 1e6, 6)
+    fmap = evaluate_grid(G, plan, BOB, DESK)
+    coeffs = fieldmap._phase_coefficients(G, plan, BOB)
+    iy, ix = 23, 61  # an ordinary cell: not the focus, not the origin
+    x, y = DESK.xs()[ix], DESK.ys()[iy]
+    raw32, bound = fieldmap._float32_block(coeffs, fieldmap._Nodes(np.array([x]), np.array([y])))
+    ref = fmap.metadata["bob_cell_raw_correlation"]
+    beta_sq = (G.wavelength_m / (4.0 * math.pi * math.hypot(x, y))) ** 2
+    for mode, on_cell, raw_cut in (
+        ("fraction", fmap.values[iy, ix], fmap.values[iy, ix] * ref),
+        ("kl", gains(fmap)[iy, ix], gains(fmap)[iy, ix] * G.n_antennas / beta_sq),
+    ):
+        # the float32 value cannot tell which side the cell is on
+        assert abs(raw32[0] - raw_cut) <= fieldmap._SAFETY * bound
+        for value, inside in ((on_cell, True), (np.nextafter(on_cell, np.inf), False)):
+            exact = extract_noncovert(fmap, mode, float(value))
+            assert exact.mask[iy, ix] == inside
+            assert_same_region(exact, noncovert_region(G, plan, BOB, DESK, mode, float(value)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    cells=st.lists(st.tuples(st.integers(0, 80), st.integers(0, 80)), min_size=1, max_size=33),
+)
+def test_gathered_float64_recompute_matches_full_grid(seed, cells):
+    plan = random_fda_plan(G, 1e6, seed)
+    coeffs = fieldmap._phase_coefficients(G, plan, BOB)
+    xs, ys = DESK.xs(), DESK.ys()
+    full = fieldmap._correlation_block(coeffs, xs[None, :], ys[:, None])
+    iy, ix = np.array(cells).T
+    gathered = fieldmap._correlation_block(coeffs, xs[ix], ys[iy])
+    np.testing.assert_array_equal(gathered, full[iy, ix])
+    # and so the map's values, normalized by the focus cell alone
+    fmap = evaluate_grid(G, plan, BOB, DESK)
+    np.testing.assert_array_equal(gathered / fmap.metadata["bob_cell_raw_correlation"],
+                                  fmap.values[iy, ix])
