@@ -1,4 +1,4 @@
-"""Near-field channels, MRT beamforming, SNR and the finite-blocklength rate."""
+"""Near-field channels and their grid phase engine, MRT, SNR and the finite-blocklength rate."""
 
 from __future__ import annotations
 
@@ -146,7 +146,8 @@ def wrapped_propagation_phases(
     The per-point phases of the absolute-phase channel vectors and of
     focus_correlation (so of beampattern_at); wrapping keeps the two routes
     comparable at ~1e-14 despite multi-thousand-radian raw phases.  The
-    grid paths form their phases in fieldmap instead.
+    grid map and the region search form their phases, relative to the
+    focus, with _element_phases instead; this is their per-point oracle.
     """
     plan.check_length(g)
     k = TWO_PI * (g.carrier_hz + plan.offsets()) / SPEED_OF_LIGHT
@@ -154,6 +155,68 @@ def wrapped_propagation_phases(
     d = g.spacing_m
     raw = k * r_m + (k * delta * delta) * (d * d / 2.0) / r_m - (k * delta * d) * sin_theta
     return np.remainder(raw, TWO_PI)
+
+
+def _phase_coefficients(g: ArrayGeometry, plan: FrequencyPlan, bob: PolarPoint):
+    """Per element n, (k_n, c1_n, c2_n, ref_n) of its phase relative to the focus.
+
+    At a node (r, theta) the phase is k_n r + c1_n / r - c2_n sin(theta) - ref_n,
+    that is k_n times the Fresnel path difference
+    (r - r_b) + delta_n^2 d^2/2 (1/r - 1/r_b) - delta_n d (sin(theta) - sin(theta_b)).
+    """
+    freqs = plan.frequencies_hz(g)  # validates length, warns on huge offsets
+    k = TWO_PI * freqs / SPEED_OF_LIGHT
+    delta = np.arange(g.n_antennas, dtype=float)
+    d = g.spacing_m
+    c1 = k * delta * delta * (d * d / 2.0)
+    c2 = k * delta * d
+    ref = k * bob.r_m + c1 / bob.r_m - c2 * math.sin(bob.theta_rad)
+    return k, c1, c2, ref
+
+
+class _Nodes:
+    """r, 1/r and sin(theta) of the grid nodes (x, y); x and y broadcast together."""
+
+    def __init__(self, x, y):
+        self.r = np.hypot(x, y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.inv_r = 1.0 / self.r
+            self.sin_t = y * self.inv_r
+
+
+def _element_phases(coeffs, nodes: _Nodes):
+    """Each element's phase at the nodes in turn, in one reused float64 buffer.
+
+    The one phase formation of the grid map (fieldmap's value and mask
+    paths) and of the region search (schemes._RegionSample).  The phases
+    are not reduced (up to thousands of radians); the r = 0 node gets nan
+    from 0 * inf, so callers run this under np.errstate(invalid="ignore").
+    """
+    k, c1, c2, ref = coeffs
+    phase = np.empty(nodes.r.shape)
+    tmp = np.empty(nodes.r.shape)
+    for n in range(k.size):
+        np.multiply(nodes.r, k[n], out=phase)
+        np.multiply(nodes.inv_r, c1[n], out=tmp)
+        phase += tmp
+        np.multiply(nodes.sin_t, c2[n], out=tmp)
+        phase -= tmp
+        phase -= ref[n]
+        yield phase
+
+
+def _reduce_phase(phase, turns):
+    """phase - 2 pi rint(phase / 2 pi), in place, so |phase| <~ pi; turns is scratch space."""
+    np.multiply(phase, 1.0 / TWO_PI, out=turns)
+    np.rint(turns, out=turns)
+    turns *= TWO_PI
+    phase -= turns
+    return phase
+
+
+def _beta_sq(wavelength_m, r):
+    """Free-space power gain beta^2(r) = (lambda / (4 pi r))^2 of the nodes at radii r."""
+    return (wavelength_m / (4.0 * math.pi * r)) ** 2
 
 
 def focus_correlation(

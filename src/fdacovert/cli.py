@@ -227,9 +227,9 @@ def cmd_region(cfg: ExperimentConfig, out_dir: str, plan_file: Optional[str]) ->
         plans = [(SCHEME_OPTIMIZED, _load_plan_file(plan_file))]
     else:
         plans = [(s, _plan_for(cfg, s)) for s in cfg.sweep_schemes]
+    grid = cfg.grid()
     for scheme, plan in plans:
-        fmap = evaluate_grid(cfg.geometry(), plan, cfg.bob(), cfg.grid())
-        region = extract_noncovert(fmap, mode, value)
+        region = noncovert_region(cfg.geometry(), plan, cfg.bob(), grid, mode, value)
         meta = _base_metadata(cfg, "region")
         meta.update(
             scheme=scheme,
@@ -238,7 +238,7 @@ def cmd_region(cfg: ExperimentConfig, out_dir: str, plan_file: Optional[str]) ->
             threshold_value=fmt(value),
         )
         path = os.path.join(out_dir, f"region_{scheme}.csv")
-        emit_csv(path, ["x_m", "y_m", "non_covert"], _grid_rows(fmap.spec, region.mask), meta)
+        emit_csv(path, ["x_m", "y_m", "non_covert"], _grid_rows(grid, region.mask), meta)
         written.append(path)
         summary.append(
             (scheme, region.n_noncovert, region.area_m2, region.area_fraction)

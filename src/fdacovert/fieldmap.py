@@ -7,14 +7,13 @@ threshold mode operates on these values; the absolute ("kl") mode applies the
 detection threshold q to the warden's physical beam gain |h_w^H w|^2, which
 re-includes the per-cell beta(r).
 
-Two paths share one phase formation (_element_phases):
+Two paths form phases with channel._element_phases, as the region search does:
 - the float64 value path, evaluate_grid and extract_noncovert, gives every
-  cell's value; heatmap and region print it, and it is the oracle of the
-  mask path;
+  cell's value; heatmap prints it, and it is the oracle of the mask path;
 - the certified mask path, noncovert_region, gives only each cell's side of
   the threshold, from float32 sin/cos plus a float64 recompute of the cells
   within the float32 error bound of it, so its mask equals the value
-  path's cell for cell.  sweep and monte_carlo_rate use it.
+  path's cell for cell.  region, sweep and monte_carlo_rate use it.
 """
 
 from __future__ import annotations
@@ -30,9 +29,13 @@ import numpy as np
 
 from .channel import (
     SCHEME_RANDOM,
-    TWO_PI,
     FrequencyPlan,
     LinkBudget,
+    _beta_sq,
+    _element_phases,
+    _Nodes,
+    _phase_coefficients,
+    _reduce_phase,
     channel_gain_amplitude,
     channel_vector,
     covert_rate,
@@ -41,7 +44,6 @@ from .channel import (
     snr_bob,
 )
 from .geometry import (
-    SPEED_OF_LIGHT,
     ArrayGeometry,
     DomainError,
     PolarPoint,
@@ -166,53 +168,6 @@ def beampattern_at(
     return float((scale / g.n_antennas) ** 2 * focus_correlation(g, plan, bob, p))
 
 
-def _phase_coefficients(g: ArrayGeometry, plan: FrequencyPlan, bob: PolarPoint):
-    """Per element n, (k_n, c1_n, c2_n, ref_n) of its phase relative to the focus.
-
-    At a node (r, theta) the phase is k_n r + c1_n / r - c2_n sin(theta) - ref_n,
-    that is k_n times the Fresnel path difference
-    (r - r_b) + delta_n^2 d^2/2 (1/r - 1/r_b) - delta_n d (sin(theta) - sin(theta_b)).
-    """
-    freqs = plan.frequencies_hz(g)  # validates length, warns on huge offsets
-    k = TWO_PI * freqs / SPEED_OF_LIGHT
-    delta = np.arange(g.n_antennas, dtype=float)
-    d = g.spacing_m
-    c1 = k * delta * delta * (d * d / 2.0)
-    c2 = k * delta * d
-    ref = k * bob.r_m + c1 / bob.r_m - c2 * math.sin(bob.theta_rad)
-    return k, c1, c2, ref
-
-
-class _Nodes:
-    """r, 1/r and sin(theta) of the grid nodes (x, y); x and y broadcast together."""
-
-    def __init__(self, x, y):
-        self.r = np.hypot(x, y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.inv_r = 1.0 / self.r
-            self.sin_t = y * self.inv_r
-
-
-def _element_phases(coeffs, nodes: _Nodes):
-    """Each element's phase at the nodes in turn, in one reused float64 buffer.
-
-    The one phase formation of both grid paths.  The phases are not reduced
-    (up to thousands of radians); the r = 0 node gets nan from 0 * inf, so
-    callers run this under np.errstate(invalid="ignore").
-    """
-    k, c1, c2, ref = coeffs
-    phase = np.empty(nodes.r.shape)
-    tmp = np.empty(nodes.r.shape)
-    for n in range(k.size):
-        np.multiply(nodes.r, k[n], out=phase)
-        np.multiply(nodes.inv_r, c1[n], out=tmp)
-        phase += tmp
-        np.multiply(nodes.sin_t, c2[n], out=tmp)
-        phase -= tmp
-        phase -= ref[n]
-        yield phase
-
-
 def _power(acc_re, acc_im, n_antennas):
     """|S|^2 / N^2 from the phasor sum S = acc_re + j acc_im, in acc_re's buffer."""
     acc_re *= acc_re
@@ -254,9 +209,9 @@ def _float32_block(coeffs, nodes: _Nodes):
     """(raw32, bound): the raw correlation via float32 sin/cos, and how far it may be off.
 
     Each phase, formed in float64 as in _correlation_block, is reduced by
-    phase - 2 pi rint(phase / 2 pi), cast to float32 for sin and cos, and
-    the terms are accumulated in float64.  With eps = float32 eps = 2^-23,
-    per term e^{j phase_n} is off by at most
+    _reduce_phase to phase - 2 pi rint(phase / 2 pi), cast to float32 for
+    sin and cos, and the terms are accumulated in float64.  With
+    eps = float32 eps = 2^-23, per term e^{j phase_n} is off by at most
         delta = 2 sqrt(2) eps           (2 ulps, of at most eps, in cos and sin)
               + 2 eps                   (the cast of a |phase| < 4)
               + eps64 (max|phase| + 6)  (the float64 reduction),
@@ -277,11 +232,7 @@ def _float32_block(coeffs, nodes: _Nodes):
     acc_im = np.zeros(shape)
     with np.errstate(invalid="ignore"):
         for phase in _element_phases(coeffs, nodes):
-            np.multiply(phase, 1.0 / TWO_PI, out=turns)
-            np.rint(turns, out=turns)
-            turns *= TWO_PI
-            phase -= turns  # in the generator's buffer, rewritten next step
-            phase32[...] = phase
+            phase32[...] = _reduce_phase(phase, turns)  # in the generator's buffer
             np.cos(phase32, out=trig)
             acc_re += trig
             np.sin(phase32, out=trig)
@@ -432,11 +383,6 @@ def _check_threshold(threshold_mode: str, threshold_value: float, bob_cell) -> N
             raise DomainError(f"q must be > 0, got {threshold_value}")
     else:
         raise DomainError(f"unknown threshold mode {threshold_mode!r}")
-
-
-def _beta_sq(wavelength_m, r):
-    """Free-space power gain beta^2(r) = (lambda / (4 pi r))^2 of the nodes at radii r."""
-    return (wavelength_m / (4.0 * math.pi * r)) ** 2
 
 
 def _non_covert(values, threshold_mode, threshold_value, ref, wavelength_m, n_antennas, r):

@@ -13,8 +13,12 @@ from .channel import (
     SCHEME_LPA,
     SCHEME_OPTIMIZED,
     SCHEME_RANDOM,
-    TWO_PI,
     FrequencyPlan,
+    _beta_sq,
+    _element_phases,
+    _Nodes,
+    _phase_coefficients,
+    _reduce_phase,
 )
 from .ellipse import (
     OptimizerConfig,
@@ -24,7 +28,6 @@ from .ellipse import (
     optimize_offsets,
 )
 from .geometry import (
-    SPEED_OF_LIGHT,
     ArrayGeometry,
     DomainError,
     PolarPoint,
@@ -37,7 +40,7 @@ if TYPE_CHECKING:  # fieldmap imports this module
 # region refinement of the ellipse optimum (refine_for_region)
 _SAMPLE_SPACING_M = 0.4  # spacing of the lattice of grid nodes sampled
 _MAX_SCAN = 1 << 21  # lattice node x element pairs scanned, on any grid
-_CHUNK = 1 << 16  # node x element pairs computed at once in float64
+_CHUNK = 1 << 16  # node x element pairs scanned at once for nearness
 _MAX_SEARCH = 1 << 18  # near-threshold node x element pairs searched
 _NEAR_FACTOR = 4.0  # near: value within this factor of the threshold at a start
 _START_SCALES = (1.0, 0.25, 0.0)  # search starts, as multiples of the ellipse optimum
@@ -157,27 +160,6 @@ def optimized_fda_plan(
     )
 
 
-def _node_phases(g: ArrayGeometry, bob: PolarPoint, x: np.ndarray, y: np.ndarray):
-    """Per node and element: the carrier phase mod 2 pi and its slope in the offset.
-
-    Element n's phase at a node, relative to the focus, is
-    2 pi (f_c + f_dn) dD_n / c with dD_n the Fresnel path difference of
-    fieldmap's grid kernel.  Both come as float32, which is ~30x faster in
-    sin/cos: the search only ranks plans, and every map is still evaluated
-    in float64.
-    """
-    r = np.hypot(x, y)[:, None]
-    delta = np.arange(g.n_antennas, dtype=float)
-    d = g.spacing_m
-    path = (
-        (r - bob.r_m)
-        + (delta * delta * (d * d / 2.0)) * (1.0 / r - 1.0 / bob.r_m)
-        - (delta * d) * (y[:, None] / r - math.sin(bob.theta_rad))
-    )
-    carrier = np.remainder(path * (TWO_PI * g.carrier_hz / SPEED_OF_LIGHT), TWO_PI)
-    return carrier.astype(np.float32), (path * (TWO_PI / SPEED_OF_LIGHT)).astype(np.float32)
-
-
 class _RegionSample:
     """Grid nodes near the threshold, with the relaxed count of those above it.
 
@@ -185,16 +167,21 @@ class _RegionSample:
     compares with 1: in fraction mode value is |S|^2 over the focus cell's
     |S|^2 (the focus node rides along as the last row), in kl mode it is
     the warden gain |S|^2 beta^2(r) / N^3, S being the phasor sum.
+    Per element n, the carrier phase 2 pi f_c dD_n / c is the map's, from
+    _element_phases on the zero-offset plan, and its slope in f_dn,
+    2 pi dD_n / c, is that unreduced phase over f_c.  Both are float32
+    (sin/cos ~30x faster), as the search only ranks plans.
     """
 
     def __init__(self, g, bob, x, y, ln_scale, normalized):
         self.x, self.y = x, y
         self.carrier = np.empty((x.size, g.n_antennas), dtype=np.float32)
         self.slope = np.empty_like(self.carrier)
-        chunk = max(1, _CHUNK // g.n_antennas)  # bounds the float64 temporaries
-        for i in range(0, x.size, chunk):
-            part = slice(i, i + chunk)
-            self.carrier[part], self.slope[part] = _node_phases(g, bob, x[part], y[part])
+        turns = np.empty(x.shape)
+        coeffs = _phase_coefficients(g, lpa_plan(g), bob)
+        for n, phase in enumerate(_element_phases(coeffs, _Nodes(x, y))):
+            self.slope[:, n] = phase / g.carrier_hz
+            self.carrier[:, n] = _reduce_phase(phase, turns)
         self.ln_scale = ln_scale
         self.normalized = normalized
 
@@ -244,8 +231,7 @@ def _region_sample(g, bob, starts, region):
     _SAMPLE_SPACING_M apart, coarser where _MAX_SCAN demands it; a node is
     near if its rho lies within _NEAR_FACTOR of 1 for one of the starts.
     None when no node is near, and when the threshold cannot be applied
-    (extract_noncovert then refuses it, and evaluate_grid a focus in the
-    origin's cell).
+    (the map paths then refuse the threshold, or a focus in the origin's cell).
     """
     grid, mode, value = region.grid, region.threshold_mode, region.threshold_value
     if mode not in ("fraction", "kl") or not value > 0.0:
@@ -274,8 +260,7 @@ def _region_sample(g, bob, starts, region):
             xn, yn = np.append(xn, fx), np.append(yn, fy)
             ln_scale = -math.log(value)
         else:
-            beta = g.wavelength_m / (4.0 * math.pi * np.hypot(xn, yn))
-            ln_scale = np.log(beta * beta / (n**3 * value))
+            ln_scale = np.log(_beta_sq(g.wavelength_m, np.hypot(xn, yn)) / (n**3 * value))
         return _RegionSample(g, bob, xn, yn, ln_scale, mode == "fraction")
 
     near = np.zeros(x.size, dtype=bool)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdacovert import ArrayGeometry, GridSpec, PolarPoint, evaluate_grid, lpa_plan
-from fdacovert import cli, schemes
+from fdacovert import cli, fieldmap, schemes
 from fdacovert.cli import _grid_row_text, emit_csv, fmt, main, read_field_csv
 from fdacovert.ellipse import OptimizeResult
 from fdacovert.config import ConfigError, build_config, load_config
@@ -394,34 +394,66 @@ def test_grid_row_text_matches_fmt_for_masks(data, y):
 
 @pytest.mark.parametrize("sub", ["heatmap", "region"])
 def test_grid_csvs_equal_per_cell_reference(tmp_path, monkeypatch, sub):
-    # every map the subcommand evaluated, with the mask region stores on it
-    fmaps = []
-    evaluate = cli.evaluate_grid
+    # (scheme, grid, printed array) of every map the subcommand evaluated:
+    # heatmap's float64 values, region's certified masks, each of which
+    # must equal the float64 value path's mask
+    maps = []
+    if sub == "heatmap":
+        evaluate = cli.evaluate_grid
 
-    def recording_evaluate(*args, **kwargs):
-        fmaps.append(evaluate(*args, **kwargs))
-        return fmaps[-1]
+        def recording(*args, **kwargs):
+            fmap = evaluate(*args, **kwargs)
+            maps.append((fmap.metadata["scheme"], fmap.spec, fmap.values))
+            return fmap
 
-    monkeypatch.setattr(cli, "evaluate_grid", recording_evaluate)
+        monkeypatch.setattr(cli, "evaluate_grid", recording)
+    else:
+        certify = cli.noncovert_region
+
+        def recording(g, plan, bob, spec, mode, value):
+            region = certify(g, plan, bob, spec, mode, value)
+            exact = fieldmap.extract_noncovert(evaluate_grid(g, plan, bob, spec), mode, value)
+            np.testing.assert_array_equal(region.mask, exact.mask)
+            maps.append((plan.scheme, spec, region.mask))
+            return region
+
+        monkeypatch.setattr(cli, "noncovert_region", recording)
     out = str(tmp_path / "out")
     assert run_cli([sub, "--out", out] + FAST) == 0
-    assert len(fmaps) == 4
+    assert len(maps) == 4
     column = "normalized_power" if sub == "heatmap" else "non_covert"
-    for fmap in fmaps:
-        data = fmap.values if sub == "heatmap" else fmap.mask
-        xs, ys = fmap.spec.xs(), fmap.spec.ys()
+    for scheme, spec, data in maps:
+        xs, ys = spec.xs(), spec.ys()
         body = "".join(
             ",".join(fmt(v) for v in (xs[ix], ys[iy], data[iy, ix])) + "\n"
-            for iy in range(fmap.spec.n_y)
-            for ix in range(fmap.spec.n_x)
+            for iy in range(spec.n_y)
+            for ix in range(spec.n_x)
         )
-        text = read_bytes(os.path.join(out, f"{sub}_{fmap.metadata['scheme']}.csv")).decode()
+        text = read_bytes(os.path.join(out, f"{sub}_{scheme}.csv")).decode()
         head, sep, rest = text.partition(f"\nx_m,y_m,{column}\n")
         assert sep and all(line.startswith("# ") for line in head.split("\n"))
         assert rest == body
     if sub == "heatmap":
         assert "nan" in body  # the origin node
         assert ",1\n" in body  # the focus cell, normalized to exactly 1
+
+
+def test_region_bytes_do_not_depend_on_fdacovert_threads(tmp_path, monkeypatch):
+    # the row blocks are disjoint, so the thread count shows in no byte; a
+    # non-integer value is ignored with a warning
+    outputs = {}
+    for env in ("1", "3", "two"):
+        monkeypatch.setenv("FDACOVERT_THREADS", env)
+        out = tmp_path / env
+        args = ["region", "--out", str(out)] + FAST
+        if env == "two":
+            with pytest.warns(UserWarning, match="ignoring non-integer"):
+                assert run_cli(args) == 0
+        else:
+            assert run_cli(args) == 0
+        outputs[env] = {name: read_bytes(out / name) for name in sorted(os.listdir(out))}
+    assert len(outputs["1"]) == 5  # four masks and the summary
+    assert outputs["1"] == outputs["3"] == outputs["two"]
 
 
 # ------------------------------------------------------- runtime error paths
