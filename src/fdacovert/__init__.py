@@ -9,10 +9,6 @@ given the grid and threshold of a map, the measured non-covert region.
 """
 
 from .channel import (
-    SCHEME_LINEAR,
-    SCHEME_LPA,
-    SCHEME_OPTIMIZED,
-    SCHEME_RANDOM,
     SCHEMES,
     ChannelVector,
     FrequencyPlan,
@@ -28,7 +24,6 @@ from .channel import (
     mrt_weights,
     snr_bob,
     watts_to_dbm,
-    wrapped_propagation_phases,
 )
 from .covertness import (
     CovertnessBudget,
@@ -41,9 +36,7 @@ from .covertness import (
 from .ellipse import (
     DegenerateEllipseError,
     DegenerateGeometryError,
-    EllipseModel,
     OptimizeResult,
-    OptimizerConfig,
     build_ellipse_model,
     ellipse_area,
     g_coefficients,
@@ -53,11 +46,7 @@ from .ellipse import (
     psi_vector,
 )
 from .fieldmap import (
-    FieldMap,
     GridSpec,
-    RateResult,
-    RegionResult,
-    SweepRow,
     beampattern_at,
     evaluate_grid,
     extract_noncovert,
@@ -80,7 +69,6 @@ from .geometry import (
 )
 from .schemes import (
     RegionSpec,
-    SolverDidNotConverge,
     build_plan,
     linear_fda_plan,
     lpa_plan,

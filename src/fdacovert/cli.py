@@ -178,7 +178,6 @@ def _plan_for(cfg: ExperimentConfig, scheme: str, seed=None) -> FrequencyPlan:
         cfg.bob(),
         cfg.f_delta_hz,
         seed=cfg.seed if seed is None else seed,
-        solver=cfg.solver(),
         box_half_width_hz=cfg.box_half_width_hz,
         region=_region(cfg) if scheme == SCHEME_OPTIMIZED else None,
     )
@@ -270,7 +269,7 @@ def _cmd_sweep(cfg: ExperimentConfig, out_dir: str, parameter: str) -> List[str]
         seeds=cfg.sweep_seeds,
         threshold_mode=mode,
         threshold_value=value,
-        solver=cfg.solver(),
+        seed=cfg.seed,
         box_half_width_hz=cfg.box_half_width_hz,
     )
     meta = _base_metadata(cfg, f"sweep-{parameter}")
@@ -348,7 +347,7 @@ def cmd_optimize(cfg: ExperimentConfig, out_dir: str) -> List[str]:
     g = cfg.geometry()
     bob = cfg.bob()
     box = box_half_width(cfg.f_delta_hz, cfg.box_half_width_hz)
-    result = optimize_offsets(g, bob, box, config=cfg.solver())
+    result = optimize_offsets(g, bob, box, seed=cfg.seed)
     offsets = result.offsets_hz
     if result.converged:
         offsets = refine_for_region(g, bob, box, offsets, _region(cfg))

@@ -15,7 +15,6 @@ from typing import Dict, List, Optional, Tuple
 
 from .channel import SCHEMES, LinkBudget, dbm_to_watts
 from .covertness import CovertnessBudget
-from .ellipse import OptimizerConfig
 from .fieldmap import GridSpec
 from .geometry import ArrayGeometry, DomainError, PolarPoint
 
@@ -31,7 +30,6 @@ _SCHEMA: Tuple[Tuple[str, str, str, str, str], ...] = (
     ("geometry", "n_antennas", "n_antennas", "int", "64"),
     ("geometry", "carrier_hz", "carrier_hz", "float", "3e9"),
     ("geometry", "spacing_m", "spacing_m", "optfloat", ""),
-    ("plan", "scheme", "scheme", "str", "RandomFDA"),
     ("plan", "f_delta_hz", "f_delta_hz", "float", "1e6"),
     ("plan", "seed", "seed", "int", "0"),
     ("plan", "box_half_width_hz", "box_half_width_hz", "optfloat", ""),
@@ -170,9 +168,6 @@ class ExperimentConfig:
             max_cells=self.max_cells,
         )
 
-    def solver(self) -> OptimizerConfig:
-        return OptimizerConfig(seed=self.seed)
-
     def effective_threshold(self) -> Tuple[str, float]:
         """(mode, value) with the kl mode's q derived from the budget."""
         if self.threshold_mode == "fraction":
@@ -214,8 +209,6 @@ def build_config(
     cfg = ExperimentConfig(**values)
 
     # semantic validation with the offending location attached
-    if cfg.scheme not in SCHEMES:
-        raise ConfigError(f"{where['scheme']}: unknown scheme {cfg.scheme!r}")
     for s in cfg.sweep_schemes:
         if s not in SCHEMES:
             raise ConfigError(f"{where['sweep_schemes']}: unknown scheme {s!r}")

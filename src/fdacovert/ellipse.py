@@ -193,13 +193,6 @@ def objective_and_gradient(
 
 
 @dataclass(frozen=True)
-class OptimizerConfig:
-    """Seed of the multi-start solver's random starts."""
-
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class OptimizeResult:
     offsets_hz: tuple
     objective: float
@@ -276,22 +269,22 @@ def optimize_offsets(
     g: ArrayGeometry,
     bob: PolarPoint,
     box_half_width_hz: float,
-    config: OptimizerConfig = OptimizerConfig(),
+    seed: int = 0,
 ) -> OptimizeResult:
     """Maximize J over the box, multi-start, always returning the best iterate.
 
     Start set: the two anchor_starts (start 0 the zero plan, start 1 the
     clipped ramp), then 8 interior points drawn uniformly from the box by
-    PCG64 seeded with config.seed.
-    Each start is ascended, then polished to a box vertex.  Ties keep the
-    lowest start index, so results are reproducible for a fixed seed, and
-    the returned objective dominates the zero plan's.
+    PCG64 seeded with seed (schemes.build_plan passes a plan's one seed,
+    which also draws a RandomFDA plan).  Each start is ascended, then
+    polished to a box vertex.  Ties keep the lowest start index, so results are reproducible
+    for a fixed seed, and the returned objective dominates the zero plan's.
     """
     if box_half_width_hz <= 0:
         raise DomainError(f"box_half_width_hz must be > 0, got {box_half_width_hz}")
     n = g.n_antennas
     box = float(box_half_width_hz)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     starts = anchor_starts(n, box)
     starts += [rng.uniform(-box, box, n) for _ in range(_N_RANDOM_STARTS)]
 

@@ -50,7 +50,7 @@ from .geometry import (
     polar_to_cartesian,
     rayleigh_distance,
 )
-from .schemes import OptimizerConfig, RegionSpec, build_plan
+from .schemes import RegionSpec, build_plan
 
 THREADS_ENV_VAR = "FDACOVERT_THREADS"
 
@@ -350,19 +350,11 @@ def evaluate_grid(
 
     meta = {
         "scheme": plan.scheme,
-        "seed": plan.seed,
-        "base_increment_hz": plan.base_increment_hz,
         "n_antennas": g.n_antennas,
-        "carrier_hz": g.carrier_hz,
-        "spacing_m": g.spacing_m,
         "wavelength_m": g.wavelength_m,
-        "bob_r_m": bob.r_m,
-        "bob_theta_rad": bob.theta_rad,
         "bob_cell": bob_cell,
         "bob_cell_raw_correlation": normalizer,
         "grid_exceeds_rayleigh": _beyond_rayleigh(g, spec),
-        "plan": plan,
-        "geometry": g,
     }
     return FieldMap(spec=spec, values=values, metadata=meta)
 
@@ -433,8 +425,6 @@ def extract_noncovert(
         meta["wavelength_m"], meta["n_antennas"], r,
     )
     fmap.mask = mask
-    meta["threshold_mode"] = threshold_mode
-    meta["threshold_value"] = threshold_value
     return _region_result(spec, mask, threshold_mode, threshold_value)
 
 
@@ -516,7 +506,7 @@ def sweep(
     seeds: Sequence[int] = (0,),
     threshold_mode: str = "fraction",
     threshold_value: float = 0.1,
-    solver: OptimizerConfig = OptimizerConfig(),
+    seed: int = 0,
     box_half_width_hz: Optional[float] = None,
 ) -> list:
     """Area fractions versus antenna count or frequency increment.
@@ -524,11 +514,12 @@ def sweep(
     parameter "n_antennas" rebuilds the array per value (spacing kept at
     half the carrier wavelength); "f_delta" varies the increment at fixed
     geometry.  Random-FDA rows aggregate mean and standard deviation over
-    the seed list; the other schemes are deterministic single runs.  Each
-    OptimizedFDA plan is built for this grid and threshold: J gives its
-    starting point and floor, the measured region chooses it (see
-    schemes.optimized_fda_plan).  Every plan depends only on its own row's
-    inputs, so equal rows of two sweeps are equal.
+    seeds, one plan per seed; the other schemes are single runs built with
+    seed, the seed of the OptimizedFDA solver.  Each OptimizedFDA plan is
+    built for this grid and threshold: J gives its starting point and
+    floor, the measured region chooses it (see schemes.optimized_fda_plan).
+    Every plan depends only on its own row's inputs, so equal rows of two
+    sweeps are equal.
     """
     if parameter not in ("n_antennas", "f_delta"):
         raise DomainError(f"unknown sweep parameter {parameter!r}")
@@ -544,11 +535,11 @@ def sweep(
             g_v = g
             f_v = float(value)
         for scheme in scheme_names:
-            run_seeds = list(seeds) if scheme == SCHEME_RANDOM else [seeds[0]]
+            run_seeds = list(seeds) if scheme == SCHEME_RANDOM else [seed]
             fractions = []
-            for seed in run_seeds:
+            for run_seed in run_seeds:
                 plan = build_plan(
-                    scheme, g_v, bob, f_v, seed=seed, solver=solver,
+                    scheme, g_v, bob, f_v, seed=run_seed,
                     box_half_width_hz=box_half_width_hz, region=target,
                 )
                 region = noncovert_region(
@@ -581,12 +572,13 @@ def monte_carlo_rate(
     threshold_mode: str = "fraction",
     threshold_value: float = 0.1,
 ) -> RateResult:
-    """Mean covert rate over uniformly random warden positions.
+    """Mean covert rate over warden positions drawn uniformly from the grid's cells.
 
-    Each sample scores 0 inside the non-covert mask and the (location
-    independent) finite-blocklength rate outside, so the mean converges to
-    rate * (1 - area_fraction); the reported standard error is the sample
-    binomial one.
+    Each sample is one cell, every cell with weight 1 / n_cells as in
+    area_fraction, and scores 0 inside the non-covert mask and the
+    (location independent) finite-blocklength rate outside, so the mean
+    converges to rate * (1 - area_fraction); the reported standard error
+    is the sample binomial one.
     """
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
@@ -598,11 +590,7 @@ def monte_carlo_rate(
     rate = covert_rate(gamma, budget.blocklength, budget.frame_error_prob)
 
     rng = np.random.default_rng(seed)
-    x = rng.uniform(grid.x_min_m, grid.x_max_m, n_samples)
-    y = rng.uniform(grid.y_min_m, grid.y_max_m, n_samples)
-    ix = np.clip(np.round((x - grid.x_min_m) / grid.step_m).astype(int), 0, grid.n_x - 1)
-    iy = np.clip(np.round((y - grid.y_min_m) / grid.step_m).astype(int), 0, grid.n_y - 1)
-    detected = region.mask[iy, ix]
+    detected = region.mask.ravel()[rng.integers(grid.n_cells, size=n_samples)]
     n_covert = int(n_samples - np.count_nonzero(detected))
     p_covert = n_covert / n_samples
     mean = rate * p_covert

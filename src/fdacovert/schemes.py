@@ -21,7 +21,6 @@ from .channel import (
     _reduce_phase,
 )
 from .ellipse import (
-    OptimizerConfig,
     OptimizeResult,
     anchor_starts,
     objective_and_gradient,
@@ -126,7 +125,7 @@ def optimized_fda_plan(
     g: ArrayGeometry,
     bob: PolarPoint,
     f_delta_hz: float,
-    solver: OptimizerConfig = OptimizerConfig(),
+    seed: int = 0,
     box_half_width_hz: Optional[float] = None,
     region: Optional[RegionSpec] = None,
 ) -> FrequencyPlan:
@@ -135,18 +134,19 @@ def optimized_fda_plan(
     The feasible box defaults to |f_dn| <= f_delta_hz/2; box_half_width_hz
     overrides it for exploration.  optimize_offsets maximizes the
     boundary-ellipse objective J from its start set (the zero plan, the
-    box-clipped ramp and seeded random interior points) and raises
-    SolverDidNotConverge here if it hits its iteration cap.  Without a
-    region the plan is that J optimum.  With one, J gives the starting point
-    and the floor, and the measured region chooses the plan:
-    refine_for_region moves the offsets to a plan with fewer non-covert
-    cells on the region's grid whose J still dominates the zero plan's and
-    the clipped ramp's.  The plan depends only on the arguments.
+    box-clipped ramp and random interior points drawn with seed, which the
+    plan records) and raises SolverDidNotConverge here if it hits its
+    iteration cap.  Without a region the plan is that J optimum.  With one,
+    J gives the starting point and the floor, and the measured region
+    chooses the plan: refine_for_region moves the offsets to a plan with
+    fewer non-covert cells on the region's grid whose J still dominates the
+    zero plan's and the clipped ramp's.  The plan depends only on the
+    arguments.
     """
     if f_delta_hz <= 0:
         raise DomainError(f"f_delta_hz must be > 0, got {f_delta_hz}")
     box = box_half_width(f_delta_hz, box_half_width_hz)
-    result = optimize_offsets(g, bob, box, config=solver)
+    result = optimize_offsets(g, bob, box, seed=seed)
     if not result.converged:
         raise SolverDidNotConverge(result)
     offsets = result.offsets_hz
@@ -156,7 +156,7 @@ def optimized_fda_plan(
         offsets_hz=offsets,
         base_increment_hz=f_delta_hz,
         scheme=SCHEME_OPTIMIZED,
-        seed=solver.seed,
+        seed=seed,
     )
 
 
@@ -332,15 +332,16 @@ def build_plan(
     bob: PolarPoint,
     f_delta_hz: float,
     seed: int = 0,
-    solver: OptimizerConfig = OptimizerConfig(),
     box_half_width_hz: Optional[float] = None,
     region: Optional[RegionSpec] = None,
 ) -> FrequencyPlan:
     """Construct the plan for a scheme tag (sweep/CLI convenience).
 
-    region only concerns OptimizedFDA: given the grid and threshold a map
-    will be measured with, the measured region chooses its plan (see
-    optimized_fda_plan).
+    seed is the plan's one seed: it draws the RandomFDA offsets and the
+    OptimizedFDA solver's random starts, and the other schemes ignore it.
+    box_half_width_hz and region only concern OptimizedFDA: given the grid
+    and threshold a map will be measured with, the measured region chooses
+    its plan (see optimized_fda_plan).
     """
     if scheme == SCHEME_LPA:
         return lpa_plan(g)
@@ -350,7 +351,7 @@ def build_plan(
         return random_fda_plan(g, f_delta_hz, seed)
     if scheme == SCHEME_OPTIMIZED:
         return optimized_fda_plan(
-            g, bob, f_delta_hz, solver=solver, box_half_width_hz=box_half_width_hz,
+            g, bob, f_delta_hz, seed=seed, box_half_width_hz=box_half_width_hz,
             region=region,
         )
     raise DomainError(f"unknown scheme {scheme!r}")

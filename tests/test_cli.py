@@ -272,7 +272,6 @@ DEFAULT_DESCRIBE = [
     "mc.seed=2025",
     "plan.box_half_width_hz=None",
     "plan.f_delta_hz=1000000.0",
-    "plan.scheme=RandomFDA",
     "plan.seed=0",
     "sweep.f_delta_values_hz=250000.0,500000.0,1000000.0,2000000.0",
     "sweep.n_values=16,32,64",
@@ -288,7 +287,7 @@ def test_config_table_is_pinned_and_round_trips():
     default = build_config()
     assert default.describe() == DEFAULT_DESCRIBE
     assert default.sha256() == (
-        "fbec32427598c02a9b73826b2b73c293026140a7bd721a19d75fef52201c5122"
+        "6150d831daa440e279faf84c1bf25599a419474d038e050c8c525d82e289c5b0"
     )
     custom = build_config(overrides=[
         "geometry.spacing_m=0.04", "plan.box_half_width_hz=2e6",
@@ -298,7 +297,7 @@ def test_config_table_is_pinned_and_round_trips():
     for cfg in (default, custom):
         # an unset optional value prints as None and is written back empty
         pairs = [l[: -len("None")] if l.endswith("=None") else l for l in cfg.describe()]
-        assert len(pairs) == 29
+        assert len(pairs) == 28
         from_set = build_config(overrides=pairs)
         sections = {}
         for pair in pairs:
@@ -459,7 +458,7 @@ def test_region_bytes_do_not_depend_on_fdacovert_threads(tmp_path, monkeypatch):
 # ------------------------------------------------------- runtime error paths
 
 def test_solver_not_converged_exits_2(tmp_path, capsys, monkeypatch):
-    def capped(g, bob, box, config=None):
+    def capped(g, bob, box, seed=0):
         return OptimizeResult(
             offsets_hz=(0.0,) * g.n_antennas,
             objective=0.0,

@@ -12,7 +12,6 @@ from fdacovert import (
     DegenerateGeometryError,
     DomainError,
     FrequencyPlan,
-    OptimizerConfig,
     PolarPoint,
     build_ellipse_model,
     ellipse_area,
@@ -208,9 +207,8 @@ def test_optimize_dominates_starts_and_stays_feasible():
 
 
 def test_optimize_deterministic_and_reports_iterations():
-    cfg = OptimizerConfig(seed=4)
-    a = optimize_offsets(G, BOB, 0.5e6, config=cfg)
-    b = optimize_offsets(G, BOB, 0.5e6, config=cfg)
+    a = optimize_offsets(G, BOB, 0.5e6, seed=4)
+    b = optimize_offsets(G, BOB, 0.5e6, seed=4)
     assert a.offsets_hz == b.offsets_hz
     assert a.start_index == b.start_index
     assert a.iterations >= 1

@@ -464,3 +464,23 @@ def test_gathered_float64_recompute_matches_full_grid(seed, cells):
     fmap = evaluate_grid(G, plan, BOB, DESK)
     np.testing.assert_array_equal(gathered / fmap.metadata["bob_cell_raw_correlation"],
                                   fmap.values[iy, ix])
+
+
+# ---------------------------------------------------- Monte-Carlo rate sampling
+
+def test_monte_carlo_weighs_every_cell_as_area_fraction_does(monkeypatch):
+    # a mask of the border cells only: each counts fully in area_fraction, so
+    # the warden samples must land on them as often as on interior cells
+    tiny = GridSpec(0.0, 1.0, 0.0, 1.0, 0.1)
+    border = np.ones((tiny.n_y, tiny.n_x), dtype=bool)
+    border[1:-1, 1:-1] = False
+    assert border.shape == (11, 11)
+    monkeypatch.setattr(
+        fieldmap, "noncovert_region",
+        lambda g, plan, bob, spec, mode, value: fieldmap._region_result(spec, border, mode, value),
+    )
+    n = 200_000
+    result = monte_carlo_rate(G, lpa_plan(G), BOB, BUDGET, tiny, n, seed=11)
+    f = result.area_fraction
+    detected = 1.0 - result.n_covert / n
+    assert abs(detected - f) <= 5.0 * math.sqrt(f * (1.0 - f) / n)
