@@ -338,19 +338,17 @@ def cmd_rate(cfg: ExperimentConfig, out_dir: str) -> List[str]:
 def cmd_optimize(cfg: ExperimentConfig, out_dir: str) -> List[str]:
     """optimize.json: the OptimizedFDA plan that the other subcommands build.
 
-    J's optimum is the starting point; once the solve has converged, the
-    run's grid and threshold choose the plan (schemes.refine_for_region).
-    objective is J of the written offsets; start_index, iterations and
-    converged describe the J solve.  A solve that hit its iteration cap is
-    written unrefined, with converged false.
+    J's optimum is the starting point, and the run's grid and threshold
+    choose the plan (schemes.refine_for_region).  objective is J of the
+    written offsets; start_index and iterations describe the J search (the
+    winning start and its step's trial count).  box_half_width refuses an
+    f_delta_hz that is not finite and > 0, as the plan route does.
     """
     g = cfg.geometry()
     bob = cfg.bob()
     box = box_half_width(cfg.f_delta_hz, cfg.box_half_width_hz)
     result = optimize_offsets(g, bob, box, seed=cfg.seed)
-    offsets = result.offsets_hz
-    if result.converged:
-        offsets = refine_for_region(g, bob, box, offsets, _region(cfg))
+    offsets = refine_for_region(g, bob, box, result.offsets_hz, _region(cfg))
     payload = {
         "generator": f"fdacovert {__version__}",
         "config_sha256": cfg.sha256(),
@@ -363,7 +361,9 @@ def cmd_optimize(cfg: ExperimentConfig, out_dir: str) -> List[str]:
         "objective": objective_and_gradient(g, bob, np.asarray(offsets))[0],
         "start_index": result.start_index,
         "iterations": result.iterations,
-        "converged": result.converged,
+        # the search has no iteration cap to hit; the key stays for the
+        # readers of optimize.json (perfbench's check_optimize among them)
+        "converged": True,
         "offsets_hz": list(offsets),
     }
     path = os.path.join(out_dir, "optimize.json")

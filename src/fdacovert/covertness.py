@@ -71,8 +71,8 @@ class CovertnessBudget:
     threshold_q: float = field(init=False)
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise DomainError(f"epsilon must be > 0, got {self.epsilon}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise DomainError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.blocklength < 1:
             raise DomainError(f"blocklength must be >= 1, got {self.blocklength}")
         if self.noise_willie_w <= 0 or self.transmit_power_w <= 0:

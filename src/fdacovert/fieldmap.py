@@ -67,10 +67,13 @@ class GridSpec:
     max_cells: int = 10_000_000
 
     def __post_init__(self):
+        extents = (self.x_min_m, self.x_max_m, self.y_min_m, self.y_max_m)
+        if not all(math.isfinite(v) for v in extents):
+            raise DomainError(f"grid extents must be finite, got {extents}")
         if not (self.x_max_m > self.x_min_m and self.y_max_m > self.y_min_m):
             raise DomainError("grid extents must satisfy max > min on both axes")
-        if self.step_m <= 0:
-            raise DomainError(f"step_m must be > 0, got {self.step_m}")
+        if not (math.isfinite(self.step_m) and self.step_m > 0):
+            raise DomainError(f"step_m must be finite and > 0, got {self.step_m}")
         if self.n_cells > self.max_cells:
             raise DomainError(
                 f"grid has {self.n_cells} cells, exceeding the cap {self.max_cells}"
@@ -119,14 +122,11 @@ class RegionResult:
     n_noncovert: int
     area_m2: float
     area_fraction: float
-    threshold_mode: str
-    threshold_value: float
 
 
 @dataclass(frozen=True)
 class SweepRow:
     scheme: str
-    parameter: str
     value: float
     mean_area_fraction: float
     std_area_fraction: float
@@ -371,7 +371,7 @@ def _check_threshold(threshold_mode: str, threshold_value: float, bob_cell) -> N
                 "by; use the kl threshold mode or a grid that contains the focus"
             )
     elif threshold_mode == "kl":
-        if threshold_value <= 0:
+        if not threshold_value > 0:
             raise DomainError(f"q must be > 0, got {threshold_value}")
     else:
         raise DomainError(f"unknown threshold mode {threshold_mode!r}")
@@ -392,15 +392,13 @@ def _non_covert(values, threshold_mode, threshold_value, ref, wavelength_m, n_an
     return mask
 
 
-def _region_result(spec: GridSpec, mask, threshold_mode, threshold_value) -> RegionResult:
+def _region_result(spec: GridSpec, mask) -> RegionResult:
     count = int(np.count_nonzero(mask))
     return RegionResult(
         mask=mask,
         n_noncovert=count,
         area_m2=count * spec.step_m**2,
         area_fraction=count / spec.n_cells,
-        threshold_mode=threshold_mode,
-        threshold_value=threshold_value,
     )
 
 
@@ -425,7 +423,7 @@ def extract_noncovert(
         meta["wavelength_m"], meta["n_antennas"], r,
     )
     fmap.mask = mask
-    return _region_result(spec, mask, threshold_mode, threshold_value)
+    return _region_result(spec, mask)
 
 
 def noncovert_region(
@@ -479,7 +477,7 @@ def noncovert_region(
         mask[i0:i1] = _mask_block(coeffs, xs[None, :], ys[i0:i1, None], cut, decide)
 
     _run_row_blocks(spec, n_threads, fill)
-    return _region_result(spec, mask, threshold_mode, threshold_value)
+    return _region_result(spec, mask)
 
 
 def float32_error(g: ArrayGeometry, plan: FrequencyPlan, bob: PolarPoint, spec: GridSpec):
@@ -550,7 +548,6 @@ def sweep(
             rows.append(
                 SweepRow(
                     scheme=scheme,
-                    parameter=parameter,
                     value=float(value),
                     mean_area_fraction=float(arr.mean()),
                     std_area_fraction=float(arr.std()),

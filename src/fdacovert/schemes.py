@@ -20,12 +20,7 @@ from .channel import (
     _phase_coefficients,
     _reduce_phase,
 )
-from .ellipse import (
-    OptimizeResult,
-    anchor_starts,
-    objective_and_gradient,
-    optimize_offsets,
-)
+from .ellipse import anchor_starts, objective_and_gradient, optimize_offsets
 from .geometry import (
     ArrayGeometry,
     DomainError,
@@ -47,16 +42,6 @@ _STEPS = 25  # trial steps per start
 _WIDTH = 0.25  # sigmoid width in ln(value / threshold)
 
 
-class SolverDidNotConverge(RuntimeError):
-    """Optimizer hit its iteration cap; carries the best iterate found."""
-
-    def __init__(self, result: OptimizeResult):
-        super().__init__(
-            f"offset solver hit the iteration cap (best objective {result.objective})"
-        )
-        self.result = result
-
-
 def lpa_plan(g: ArrayGeometry) -> FrequencyPlan:
     """All elements on the carrier: zero offsets."""
     return FrequencyPlan(
@@ -74,8 +59,8 @@ def linear_fda_plan(g: ArrayGeometry, f_delta_hz: float) -> FrequencyPlan:
     matching the reported behaviour; the mirrored orientation enlarges it.
     Offsets sum to zero; f_delta_hz = 0 reduces to the LPA plan.
     """
-    if f_delta_hz < 0:
-        raise DomainError(f"f_delta_hz must be >= 0, got {f_delta_hz}")
+    if not (math.isfinite(f_delta_hz) and f_delta_hz >= 0):
+        raise DomainError(f"f_delta_hz must be finite and >= 0, got {f_delta_hz}")
     n = np.arange(1, g.n_antennas + 1, dtype=float)
     offsets = ((g.n_antennas + 1) / 2.0 - n) * f_delta_hz
     return FrequencyPlan(
@@ -91,8 +76,8 @@ def random_fda_plan(g: ArrayGeometry, f_delta_hz: float, seed: int) -> Frequency
     The same seed reproduces the same plan bit for bit on any platform;
     the total spanned bandwidth is N * f_delta_hz.
     """
-    if f_delta_hz < 0:
-        raise DomainError(f"f_delta_hz must be >= 0, got {f_delta_hz}")
+    if not (math.isfinite(f_delta_hz) and f_delta_hz >= 0):
+        raise DomainError(f"f_delta_hz must be finite and >= 0, got {f_delta_hz}")
     rng = np.random.default_rng(seed)
     k_n = rng.uniform(-g.n_antennas / 2.0, g.n_antennas / 2.0, g.n_antennas)
     return FrequencyPlan(
@@ -104,7 +89,14 @@ def random_fda_plan(g: ArrayGeometry, f_delta_hz: float, seed: int) -> Frequency
 
 
 def box_half_width(f_delta_hz: float, box_half_width_hz: Optional[float] = None) -> float:
-    """The optimizer's per-antenna box |f_dn| <= f_delta_hz/2, unless overridden."""
+    """The optimizer's per-antenna box |f_dn| <= f_delta_hz/2, unless overridden.
+
+    f_delta_hz, the OptimizedFDA plan's base increment, must be finite and
+    > 0 even when the box is overridden; optimized_fda_plan and the optimize
+    subcommand both check it here.
+    """
+    if not (math.isfinite(f_delta_hz) and f_delta_hz > 0):
+        raise DomainError(f"f_delta_hz must be finite and > 0, got {f_delta_hz}")
     return f_delta_hz / 2.0 if box_half_width_hz is None else box_half_width_hz
 
 
@@ -131,25 +123,19 @@ def optimized_fda_plan(
 ) -> FrequencyPlan:
     """Offsets in the box that shrink the non-covert region.
 
-    The feasible box defaults to |f_dn| <= f_delta_hz/2; box_half_width_hz
-    overrides it for exploration.  optimize_offsets maximizes the
-    boundary-ellipse objective J from its start set (the zero plan, the
-    box-clipped ramp and random interior points drawn with seed, which the
-    plan records) and raises SolverDidNotConverge here if it hits its
-    iteration cap.  Without a region the plan is that J optimum.  With one,
-    J gives the starting point and the floor, and the measured region
-    chooses the plan: refine_for_region moves the offsets to a plan with
-    fewer non-covert cells on the region's grid whose J still dominates the
-    zero plan's and the clipped ramp's.  The plan depends only on the
-    arguments.
+    The feasible box is box_half_width(f_delta_hz, box_half_width_hz), which
+    also refuses an f_delta_hz that is not finite and > 0.  optimize_offsets
+    maximizes the boundary-ellipse objective J by a multi-start search (the
+    zero plan, the box-clipped ramp and random interior points drawn with
+    seed, which the plan records).  Without a region the plan is that J
+    optimum.  With one, J gives the starting point and the floor, and the
+    measured region chooses the plan: refine_for_region moves the offsets
+    to a plan with fewer non-covert cells on the region's grid whose J
+    still dominates the zero plan's and the clipped ramp's.  The plan
+    depends only on the arguments.
     """
-    if f_delta_hz <= 0:
-        raise DomainError(f"f_delta_hz must be > 0, got {f_delta_hz}")
     box = box_half_width(f_delta_hz, box_half_width_hz)
-    result = optimize_offsets(g, bob, box, seed=seed)
-    if not result.converged:
-        raise SolverDidNotConverge(result)
-    offsets = result.offsets_hz
+    offsets = optimize_offsets(g, bob, box, seed=seed).offsets_hz
     if region is not None:
         offsets = refine_for_region(g, bob, box, offsets, region)
     return FrequencyPlan(

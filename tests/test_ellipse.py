@@ -203,7 +203,6 @@ def test_optimize_dominates_starts_and_stays_feasible():
     j_zero = objective_and_gradient(G, BOB, np.zeros(G.n_antennas))[0]
     assert res.objective >= j_zero
     assert max(abs(v) for v in res.offsets_hz) <= box
-    assert res.converged
 
 
 def test_optimize_deterministic_and_reports_iterations():

@@ -477,7 +477,7 @@ def test_monte_carlo_weighs_every_cell_as_area_fraction_does(monkeypatch):
     assert border.shape == (11, 11)
     monkeypatch.setattr(
         fieldmap, "noncovert_region",
-        lambda g, plan, bob, spec, mode, value: fieldmap._region_result(spec, border, mode, value),
+        lambda g, plan, bob, spec, mode, value: fieldmap._region_result(spec, border),
     )
     n = 200_000
     result = monte_carlo_rate(G, lpa_plan(G), BOB, BUDGET, tiny, n, seed=11)
