@@ -27,8 +27,6 @@ from .channel import (
 )
 from .covertness import (
     CovertnessBudget,
-    detection_threshold,
-    is_covert_point,
     kl_divergence,
     xi,
     xi_inv,
@@ -37,7 +35,6 @@ from .ellipse import (
     DegenerateEllipseError,
     DegenerateGeometryError,
     OptimizeResult,
-    build_ellipse_model,
     ellipse_area,
     g_coefficients,
     hessian_consistency,
@@ -63,7 +60,6 @@ from .geometry import (
     cartesian_to_polar,
     exact_element_distance,
     fresnel_element_distance,
-    in_near_field,
     polar_to_cartesian,
     rayleigh_distance,
 )

@@ -78,13 +78,11 @@ class FrequencyPlan:
 class ChannelVector:
     """Channel between the array and one point, scaled by 1/N.
 
-    Every entry has magnitude beta(r)/N with beta(r) = lambda_c/(4 pi r);
-    the squared norm is beta^2(r)/N.
+    Every entry has magnitude beta(r)/N with beta(r) = lambda_c/(4 pi r)
+    (channel_gain_amplitude); the squared norm is beta^2(r)/N.
     """
 
     entries: np.ndarray
-    gain_amplitude: float
-    location: PolarPoint
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=complex)
@@ -100,16 +98,15 @@ class ChannelVector:
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """Transmit power, noise levels and coding parameters (SI units)."""
+    """Transmit power, Bob's noise level and coding parameters (SI units)."""
 
     transmit_power_w: float
     noise_bob_w: float
-    noise_willie_w: float
     blocklength: int
     frame_error_prob: float
 
     def __post_init__(self):
-        for name in ("transmit_power_w", "noise_bob_w", "noise_willie_w"):
+        for name in ("transmit_power_w", "noise_bob_w"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise DomainError(f"{name} must be > 0, got {v}")
@@ -273,7 +270,7 @@ def channel_vector(
     else:
         raise DomainError(f"unknown phase_reference {phase_reference!r}")
     entries = (beta / g.n_antennas) * np.exp(-1j * phases)
-    return ChannelVector(entries=entries, gain_amplitude=beta, location=p)
+    return ChannelVector(entries=entries)
 
 
 def mrt_weights(h_b: ChannelVector) -> np.ndarray:

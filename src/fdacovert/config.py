@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import radians
 from typing import Dict, List, Optional, Tuple
 
-from .channel import SCHEMES, LinkBudget, dbm_to_watts
+from .channel import SCHEME_RANDOM, SCHEMES, LinkBudget, dbm_to_watts
 from .covertness import CovertnessBudget
 from .fieldmap import GridSpec
 from .geometry import ArrayGeometry, DomainError, PolarPoint
@@ -135,7 +135,7 @@ class ExperimentConfig:
         return ArrayGeometry(
             n_antennas=self.n_antennas,
             carrier_hz=self.carrier_hz,
-            spacing_m=self.spacing_m or 0.0,
+            spacing_m=self.spacing_m,
         )
 
     def bob(self) -> PolarPoint:
@@ -145,7 +145,6 @@ class ExperimentConfig:
         return LinkBudget(
             transmit_power_w=dbm_to_watts(self.p_t_dbm),
             noise_bob_w=dbm_to_watts(self.sigma_b_dbm),
-            noise_willie_w=dbm_to_watts(self.sigma_w_dbm),
             blocklength=self.blocklength,
             frame_error_prob=self.delta_fep,
         )
@@ -221,6 +220,8 @@ def build_config(
             f"{where['box_half_width_hz']}: box_half_width_hz must be > 0, "
             f"got {cfg.box_half_width_hz}"
         )
+    if SCHEME_RANDOM in cfg.sweep_schemes and not cfg.sweep_seeds:
+        raise ConfigError(f"{where['sweep_seeds']}: RandomFDA needs a seed in sweep.seeds")
     if not -90.0 < cfg.bob_theta_deg < 90.0:
         raise ConfigError(
             f"{where['bob_theta_deg']}: angle must lie strictly inside (-90, 90)"

@@ -75,25 +75,11 @@ class CovertnessBudget:
             raise DomainError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.blocklength < 1:
             raise DomainError(f"blocklength must be >= 1, got {self.blocklength}")
-        if self.noise_willie_w <= 0 or self.transmit_power_w <= 0:
-            raise DomainError("powers must be > 0")
+        for name in ("noise_willie_w", "transmit_power_w"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise DomainError(f"{name} must be finite and > 0, got {v}")
         q = (self.noise_willie_w / self.transmit_power_w) * xi_inv(
             2.0 * self.epsilon**2 / self.blocklength
         )
         object.__setattr__(self, "threshold_q", q)
-
-
-def detection_threshold(b: CovertnessBudget) -> float:
-    """The beam-gain bound q of the budget."""
-    return b.threshold_q
-
-
-def is_covert_point(gain: float, q: float) -> bool:
-    """True when a warden with beam gain `gain` stays undetectable.
-
-    The boundary gain == q is the worst case for the legitimate system and
-    is classified non-covert, keeping the non-covert region closed.
-    """
-    if gain < 0:
-        raise DomainError(f"gain must be >= 0, got {gain}")
-    return gain < q

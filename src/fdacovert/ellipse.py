@@ -108,33 +108,6 @@ def ellipse_area(coeffs, n_antennas: int, q_tilde: float) -> float:
     return 2.0 * math.pi * n_antennas**2 * (1.0 - q_tilde) / math.sqrt(disc)
 
 
-@dataclass(frozen=True)
-class EllipseModel:
-    """Quadratic-form coefficients, threshold and area for one plan/focus."""
-
-    g1: float
-    g2: float
-    g3: float
-    q_tilde: float
-    area: float
-    empty_region: bool
-
-
-def build_ellipse_model(
-    g: ArrayGeometry, plan: FrequencyPlan, bob: PolarPoint, q_tilde: float
-) -> EllipseModel:
-    coeffs = g_coefficients(g, plan, bob)
-    area = ellipse_area(coeffs, g.n_antennas, q_tilde)
-    return EllipseModel(
-        g1=coeffs[0],
-        g2=coeffs[1],
-        g3=coeffs[2],
-        q_tilde=q_tilde,
-        area=area,
-        empty_region=q_tilde >= 1.0,
-    )
-
-
 def hessian_consistency(
     g: ArrayGeometry,
     plan: FrequencyPlan,
@@ -275,8 +248,10 @@ def optimize_offsets(
     its maxima over the box lie at vertices); iterations is the winning
     start's trial count of that step.  Ties keep the lowest start index, so
     results are reproducible for a fixed seed, and the returned objective
-    dominates the zero plan's.
+    dominates the zero plan's.  N = 2 is refused: J is identically 0 there.
     """
+    if g.n_antennas < 3:  # g1*g3 = g2^2 for every plan at N = 2
+        raise DomainError(f"n_antennas must be >= 3 for J to rank plans, got {g.n_antennas}")
     if box_half_width_hz <= 0:
         raise DomainError(f"box_half_width_hz must be > 0, got {box_half_width_hz}")
     n = g.n_antennas

@@ -22,7 +22,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -106,13 +106,12 @@ class GridSpec:
         return None
 
 
-@dataclass
+@dataclass(frozen=True)
 class FieldMap:
-    """Normalized correlation values on a grid plus the extracted mask."""
+    """Normalized correlation values on a grid; extract_noncovert thresholds them."""
 
     spec: GridSpec
     values: np.ndarray
-    mask: Optional[np.ndarray] = None
     metadata: dict = field(default_factory=dict)
 
 
@@ -276,7 +275,7 @@ def _run_row_blocks(spec: GridSpec, n_threads: Optional[int], fill) -> None:
     The blocks are disjoint, so the result is the same for any thread count.
     """
     threads = resolve_threads(n_threads)
-    block_rows = max(16, spec.n_y // (threads * 8) or 16)
+    block_rows = max(16, spec.n_y // (threads * 8))
     starts = range(0, spec.n_y, block_rows)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         list(pool.map(lambda i0: fill(i0, min(spec.n_y, i0 + block_rows)), starts))
@@ -412,8 +411,8 @@ def extract_noncovert(
     (map left unnormalized) raises DomainError.
     kl mode: threshold_value is the detection threshold q applied to the
     warden beam gain |h_w^H w|^2 = value * ref * beta^2(r_cell) / N.
-    Threshold equality is non-covert (closed region).  The mask is stored
-    back onto the FieldMap.
+    Threshold equality is non-covert (the warden detects gain >= q, so the
+    region is closed).
     """
     spec, meta = fmap.spec, fmap.metadata
     _check_threshold(threshold_mode, threshold_value, meta["bob_cell"])
@@ -422,7 +421,6 @@ def extract_noncovert(
         fmap.values, threshold_mode, threshold_value, meta["bob_cell_raw_correlation"],
         meta["wavelength_m"], meta["n_antennas"], r,
     )
-    fmap.mask = mask
     return _region_result(spec, mask)
 
 
@@ -509,13 +507,13 @@ def sweep(
 ) -> list:
     """Area fractions versus antenna count or frequency increment.
 
-    parameter "n_antennas" rebuilds the array per value (spacing kept at
-    half the carrier wavelength); "f_delta" varies the increment at fixed
-    geometry.  Random-FDA rows aggregate mean and standard deviation over
-    seeds, one plan per seed; the other schemes are single runs built with
-    seed, the seed of the OptimizedFDA solver.  Each OptimizedFDA plan is
-    built for this grid and threshold: J gives its starting point and
-    floor, the measured region chooses it (see schemes.optimized_fda_plan).
+    parameter "n_antennas" rebuilds g per value with only N changed;
+    "f_delta" varies the increment at fixed geometry.  Random-FDA rows
+    aggregate mean and standard deviation over seeds (at least one), one
+    plan per seed; the other schemes are single runs built with seed, the
+    seed of the OptimizedFDA solver.  Each OptimizedFDA plan is built for
+    this grid and threshold: J gives its starting point and floor, the
+    measured region chooses it (see schemes.optimized_fda_plan).
     Every plan depends only on its own row's inputs, so equal rows of two
     sweeps are equal.
     """
@@ -523,11 +521,13 @@ def sweep(
         raise DomainError(f"unknown sweep parameter {parameter!r}")
     if len(values) < 2:
         raise DomainError("a sweep needs at least two parameter values")
+    if SCHEME_RANDOM in scheme_names and not seeds:
+        raise DomainError("RandomFDA rows need at least one seed")
     target = RegionSpec(grid, threshold_mode, threshold_value)
     rows = []
     for value in values:
         if parameter == "n_antennas":
-            g_v = ArrayGeometry(n_antennas=int(value), carrier_hz=g.carrier_hz)
+            g_v = replace(g, n_antennas=int(value))
             f_v = f_delta_hz
         else:
             g_v = g
@@ -591,7 +591,7 @@ def monte_carlo_rate(
     n_covert = int(n_samples - np.count_nonzero(detected))
     p_covert = n_covert / n_samples
     mean = rate * p_covert
-    std_error = rate * math.sqrt(max(p_covert * (1.0 - p_covert), 0.0) / n_samples)
+    std_error = rate * math.sqrt(p_covert * (1.0 - p_covert) / n_samples)
     return RateResult(
         mean_rate=mean,
         std_error=std_error,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 SPEED_OF_LIGHT = 299_792_458.0
 """Speed of light in vacuum, m/s."""
@@ -60,15 +61,15 @@ class ArrayGeometry:
     Attributes:
         n_antennas: number of elements N (>= 2).
         carrier_hz: carrier frequency f_c.
-        spacing_m: inter-element spacing d; defaults to half a carrier
-            wavelength.
+        spacing_m: inter-element spacing d, finite and > 0; None (the
+            default) means half a carrier wavelength.
         wavelength_m: carrier wavelength, derived.
         aperture_m: array aperture D = (N-1)*d, derived.
     """
 
     n_antennas: int
     carrier_hz: float
-    spacing_m: float = 0.0
+    spacing_m: Optional[float] = None
     wavelength_m: float = field(init=False)
     aperture_m: float = field(init=False)
 
@@ -79,10 +80,10 @@ class ArrayGeometry:
             raise DomainError(f"carrier_hz must be > 0, got {self.carrier_hz}")
         lam = SPEED_OF_LIGHT / self.carrier_hz
         object.__setattr__(self, "wavelength_m", lam)
-        if self.spacing_m == 0.0:
+        if self.spacing_m is None:
             object.__setattr__(self, "spacing_m", lam / 2.0)
         elif not (math.isfinite(self.spacing_m) and self.spacing_m > 0):
-            raise DomainError(f"spacing_m must be > 0, got {self.spacing_m}")
+            raise DomainError(f"spacing_m must be finite and > 0, got {self.spacing_m}")
         object.__setattr__(self, "aperture_m", (self.n_antennas - 1) * self.spacing_m)
 
     def element_y(self, n: int) -> float:
@@ -137,8 +138,3 @@ def fresnel_element_distance(g: ArrayGeometry, n: int, p: PolarPoint) -> float:
 def rayleigh_distance(g: ArrayGeometry) -> float:
     """Near-field/far-field boundary 2*D^2/lambda_c."""
     return 2.0 * g.aperture_m**2 / g.wavelength_m
-
-
-def in_near_field(g: ArrayGeometry, p: PolarPoint) -> bool:
-    """True when p lies inside the Rayleigh distance (model validity)."""
-    return p.r_m < rayleigh_distance(g)

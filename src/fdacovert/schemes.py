@@ -289,10 +289,9 @@ def refine_for_region(
     if sample is None:
         return offsets_hz
     floor = max(objective_and_gradient(g, bob, s)[0] for s in anchor_starts(g.n_antennas, box))
-    ellipse_count, ellipse_relaxed, _ = sample.evaluate(x_e)
-    best_key, best = (ellipse_count, ellipse_relaxed), None
-    for x in starts:
-        count, relaxed, grad = sample.evaluate(x)
+    evaluated = [sample.evaluate(x) for x in starts]  # starts[0] is x_e itself
+    best_key, best = evaluated[0][:2], None
+    for x, (count, relaxed, grad) in zip(starts, evaluated):
         step = 0.5
         for _ in range(_STEPS):
             norm = float(np.max(np.abs(grad)))
@@ -307,7 +306,7 @@ def refine_for_region(
             step *= 1.5
             if (count, relaxed) < best_key and objective_and_gradient(g, bob, x)[0] >= floor:
                 best_key, best = (count, relaxed), x
-    if best is None or best_key[0] >= ellipse_count:
+    if best is None or best_key[0] >= evaluated[0][0]:
         return offsets_hz
     return tuple(float(v) for v in best)
 

@@ -47,7 +47,7 @@ GRID = GridSpec(0.0, 40.0, 0.0, 40.0, STEP, max_cells=20_000_000)
 DESK_GRID = GridSpec(0.0, 40.0, 0.0, 40.0, 0.05)
 G64 = ArrayGeometry(n_antennas=64, carrier_hz=3e9)
 BOB = PolarPoint(7.0711, math.radians(45.0))
-BUDGET = LinkBudget(0.1, 1e-9, 1e-9, 100, 1e-5)
+BUDGET = LinkBudget(0.1, 1e-9, 100, 1e-5)
 SEEDS = tuple(range(10))
 ALL_SCHEMES = ("LPA", "LinearFDA", "RandomFDA", "OptimizedFDA")
 FDA_SCHEMES = ("LinearFDA", "RandomFDA", "OptimizedFDA")

@@ -34,7 +34,6 @@ BOB = PolarPoint(7.0711, math.radians(45.0))
 BUDGET = LinkBudget(
     transmit_power_w=0.1,
     noise_bob_w=1e-9,
-    noise_willie_w=1e-9,
     blocklength=100,
     frame_error_prob=1e-5,
 )
@@ -119,14 +118,12 @@ def test_mrt_unit_norm_and_matched_gain():
 
 def test_mrt_scale_invariant():
     h = channel_vector(G, lpa_plan(G), BOB)
-    scaled = ChannelVector(entries=3.5 * h.entries, gain_amplitude=h.gain_amplitude,
-                           location=h.location)
+    scaled = ChannelVector(entries=3.5 * h.entries)
     np.testing.assert_allclose(mrt_weights(h), mrt_weights(scaled), rtol=1e-13)
 
 
 def test_mrt_rejects_zero_vector():
-    zero = ChannelVector(entries=np.zeros(4, dtype=complex), gain_amplitude=0.0,
-                         location=BOB)
+    zero = ChannelVector(entries=np.zeros(4, dtype=complex))
     with pytest.raises(DomainError):
         mrt_weights(zero)
 
@@ -145,8 +142,7 @@ def test_beam_gain_common_phase_invariant():
     plan = linear_fda_plan(G, 1e6)
     h = channel_vector(G, plan, BOB)
     w = mrt_weights(h)
-    rotated = ChannelVector(entries=np.exp(1j * 0.7) * h.entries,
-                            gain_amplitude=h.gain_amplitude, location=h.location)
+    rotated = ChannelVector(entries=np.exp(1j * 0.7) * h.entries)
     assert beam_gain(rotated, w) == pytest.approx(beam_gain(h, w), rel=1e-12)
 
 
@@ -169,7 +165,7 @@ def test_snr_bob_reference_value():
 def test_snr_scales_linearly_with_power():
     h = channel_vector(G, lpa_plan(G), BOB)
     w = mrt_weights(h)
-    doubled = LinkBudget(0.2, 1e-9, 1e-9, 100, 1e-5)
+    doubled = LinkBudget(0.2, 1e-9, 100, 1e-5)
     assert snr_bob(doubled, h, w) == pytest.approx(2 * snr_bob(BUDGET, h, w), rel=1e-12)
 
 
@@ -239,8 +235,8 @@ def test_large_offset_warning():
 
 def test_link_budget_validation():
     with pytest.raises(DomainError):
-        LinkBudget(0.0, 1e-9, 1e-9, 100, 1e-5)
+        LinkBudget(0.0, 1e-9, 100, 1e-5)
     with pytest.raises(DomainError):
-        LinkBudget(0.1, 1e-9, 1e-9, 0, 1e-5)
+        LinkBudget(0.1, 1e-9, 0, 1e-5)
     with pytest.raises(DomainError):
-        LinkBudget(0.1, 1e-9, 1e-9, 100, 1.5)
+        LinkBudget(0.1, 1e-9, 100, 1.5)

@@ -324,6 +324,7 @@ def test_non_positive_box_is_a_config_error(tmp_path, capsys, sub, box):
 
 
 ZERO_F_DELTA = ["plan.f_delta_hz=0", "plan.box_half_width_hz=1e5"]
+NO_SEEDS = ["sweep.schemes=LPA,RandomFDA", "sweep.seeds="]
 
 
 @pytest.mark.parametrize(
@@ -336,9 +337,20 @@ ZERO_F_DELTA = ["plan.f_delta_hz=0", "plan.box_half_width_hz=1e5"]
         # a box override does not stand in for the plan's base increment
         ("region", ZERO_F_DELTA + ["sweep.schemes=OptimizedFDA"], 2, "f_delta_hz"),
         ("optimize", ZERO_F_DELTA, 2, "f_delta_hz"),
+        # only a blank spacing means half a wavelength
+        ("region", ["geometry.spacing_m=0"], 1, "spacing_m"),
+        # sigma_w is checked where it is read, by the covertness budget
+        ("region", ["budget.sigma_w_dbm=nan"], 1, "noise_willie_w"),
+        ("sweep-n", NO_SEEDS, 1, "sweep.seeds"),
+        ("sweep-fdelta", NO_SEEDS, 1, "sweep.seeds"),
+        ("rate", NO_SEEDS, 1, "sweep.seeds"),
+        # J = g1*g3 - g2^2 is 0 for every plan at N = 2, so it cannot rank them
+        ("optimize", ["geometry.n_antennas=2"], 2, "n_antennas"),
+        ("region", ["geometry.n_antennas=2", "sweep.schemes=OptimizedFDA"], 2, "n_antennas"),
     ],
     ids=["step-nan", "x-max-inf", "epsilon-nan", "f-delta-nan", "region-f-delta-0",
-         "optimize-f-delta-0"],
+         "optimize-f-delta-0", "spacing-0", "sigma-w-nan", "sweep-n-no-seeds",
+         "sweep-fdelta-no-seeds", "rate-no-seeds", "optimize-n-2", "region-n-2"],
 )
 def test_bad_grid_budget_and_plan_values_fail_loudly(
     tmp_path, capsys, sub, overrides, code, name
@@ -352,6 +364,14 @@ def test_bad_grid_budget_and_plan_values_fail_loudly(
     assert err.startswith("config error:" if code == 1 else "error:")
     assert name in err
     assert not os.path.exists(out)
+
+
+def test_two_element_array_maps_without_optimized_fda(tmp_path):
+    # only OptimizedFDA refuses N = 2
+    out = str(tmp_path / "out")
+    args = ["region", "--out", out, "--set", "geometry.n_antennas=2"] + FAST
+    assert run_cli(args + ["--set", "sweep.schemes=LPA,LinearFDA,RandomFDA"]) == 0
+    assert os.path.exists(os.path.join(out, "region_LPA.csv"))
 
 
 @pytest.mark.parametrize(

@@ -8,8 +8,6 @@ import pytest
 from fdacovert import (
     CovertnessBudget,
     DomainError,
-    detection_threshold,
-    is_covert_point,
     kl_divergence,
     xi,
     xi_inv,
@@ -91,8 +89,8 @@ def test_detection_threshold_reference_value():
     b = CovertnessBudget(epsilon=1.0, blocklength=100, noise_willie_w=1e-9,
                          transmit_power_w=0.1)
     expected = 1e-8 * bisect_xi_inv(0.02)
-    assert detection_threshold(b) == pytest.approx(expected, rel=1e-10)
-    assert detection_threshold(b) == pytest.approx(2.1355e-9, rel=1e-3)
+    assert b.threshold_q == pytest.approx(expected, rel=1e-10)
+    assert b.threshold_q == pytest.approx(2.1355e-9, rel=1e-3)
 
 
 def test_detection_threshold_vanishes_with_epsilon():
@@ -147,15 +145,6 @@ def test_budget_round_trip_invariant():
     assert abs(xi(nu) - y) <= 1e-10
 
 
-def test_is_covert_point_boundary_is_detected():
-    q = 2.14e-9
-    assert is_covert_point(0.0, q)
-    assert not is_covert_point(q, q)       # worst case: equality counts as detected
-    assert not is_covert_point(2 * q, q)
-    with pytest.raises(DomainError):
-        is_covert_point(-1e-12, q)
-
-
 def test_budget_validation():
     with pytest.raises(DomainError):
         CovertnessBudget(0.0, 100, 1e-9, 0.1)
@@ -163,3 +152,5 @@ def test_budget_validation():
         CovertnessBudget(1.0, 0, 1e-9, 0.1)
     with pytest.raises(DomainError):
         CovertnessBudget(1.0, 100, 0.0, 0.1)
+    with pytest.raises(DomainError, match="noise_willie_w"):
+        CovertnessBudget(1.0, 100, math.nan, 0.1)  # a NaN power must not pass as > 0

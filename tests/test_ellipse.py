@@ -13,7 +13,6 @@ from fdacovert import (
     DomainError,
     FrequencyPlan,
     PolarPoint,
-    build_ellipse_model,
     ellipse_area,
     g_coefficients,
     hessian_consistency,
@@ -139,14 +138,11 @@ def test_area_degenerate_discriminant():
 
 
 def test_build_model_flags_empty_region():
-    model = build_ellipse_model(G, lpa_plan(G), BOB, q_tilde=1.0)
-    assert model.empty_region
-    assert model.area == 0.0
-    model = build_ellipse_model(G, lpa_plan(G), BOB, q_tilde=0.1)
-    assert not model.empty_region
-    assert model.area > 0
-    assert model.g3 > 0
-    assert model.g1 * model.g3 - model.g2**2 > 0
+    g1, g2, g3 = coeffs = g_coefficients(G, lpa_plan(G), BOB)
+    assert ellipse_area(coeffs, G.n_antennas, 1.0) == 0.0
+    assert ellipse_area(coeffs, G.n_antennas, 0.1) > 0
+    assert g3 > 0
+    assert g1 * g3 - g2**2 > 0
 
 
 def test_hessian_consistency_at_defaults():
@@ -228,6 +224,6 @@ def test_area_decreases_when_objective_increases():
     assert j_high > j_low
     plan_low = lpa_plan(G)
     plan_high = FrequencyPlan(tuple(f_high), 8e6, "OptimizedFDA")
-    area_low = build_ellipse_model(G, plan_low, BOB, 0.1).area
-    area_high = build_ellipse_model(G, plan_high, BOB, 0.1).area
+    area_low = ellipse_area(g_coefficients(G, plan_low, BOB), G.n_antennas, 0.1)
+    area_high = ellipse_area(g_coefficients(G, plan_high, BOB), G.n_antennas, 0.1)
     assert area_high < area_low

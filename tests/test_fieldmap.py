@@ -31,7 +31,7 @@ from fdacovert import (
 G = ArrayGeometry(n_antennas=64, carrier_hz=3e9)
 BOB = PolarPoint(7.0711, math.radians(45.0))
 SMALL = GridSpec(0.0, 12.0, 0.0, 12.0, 0.1)
-BUDGET = LinkBudget(0.1, 1e-9, 1e-9, 100, 1e-5)
+BUDGET = LinkBudget(0.1, 1e-9, 100, 1e-5)
 
 
 def test_gridspec_shapes():
@@ -174,7 +174,6 @@ def test_extract_area_accounting():
     assert region.area_fraction == pytest.approx(
         region.n_noncovert / SMALL.n_cells, rel=1e-12
     )
-    assert fmap.mask is region.mask
 
 
 def test_extract_kl_mode_includes_path_gain():
@@ -256,6 +255,8 @@ def test_sweep_validation():
         sweep("n_antennas", (16,), ("LPA",), G, BOB, 1e6, SMALL)
     with pytest.raises(DomainError):
         sweep("bandwidth", (16, 32), ("LPA",), G, BOB, 1e6, SMALL)
+    with pytest.raises(DomainError, match="seed"):  # RandomFDA rows with no seed
+        sweep("f_delta", (1e6, 2e6), ("LPA", "RandomFDA"), G, BOB, 1e6, SMALL, seeds=())
 
 
 def test_monte_carlo_degenerate_empty_mask():

@@ -14,7 +14,6 @@ from fdacovert import (
     cartesian_to_polar,
     exact_element_distance,
     fresnel_element_distance,
-    in_near_field,
     polar_to_cartesian,
     rayleigh_distance,
 )
@@ -70,6 +69,9 @@ def test_array_geometry_derived_fields():
         ArrayGeometry(n_antennas=1, carrier_hz=3e9)
     with pytest.raises(DomainError):
         ArrayGeometry(n_antennas=4, carrier_hz=-1.0)
+    for spacing in (0.0, -0.0, math.nan):  # only None means half a wavelength
+        with pytest.raises(DomainError, match="spacing_m"):
+            ArrayGeometry(n_antennas=4, carrier_hz=3e9, spacing_m=spacing)
 
 
 def test_exact_distance_first_element_is_range():
@@ -169,6 +171,4 @@ def test_rayleigh_distance_quadruples():
 def test_experiment_cell_is_near_field():
     # the far corner of the default 40 m cell stays inside the Rayleigh distance
     corner = cartesian_to_polar(CartesianPoint(40.0, 40.0))
-    assert in_near_field(G64, corner)
-    far = PolarPoint(2 * rayleigh_distance(G64), 0.1)
-    assert not in_near_field(G64, far)
+    assert corner.r_m < rayleigh_distance(G64)

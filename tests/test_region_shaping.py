@@ -45,9 +45,15 @@ def data_rows(path):
         return [line for line in fh.read().splitlines() if not line.startswith("#")][1:]
 
 
-def test_sweep_rows_with_equal_inputs_are_equal():
-    by_n = sweep("n_antennas", (16, 64), ("OptimizedFDA",), G, BOB, 1e6, SMALL)
-    by_f = sweep("f_delta", (0.5e6, 1e6), ("OptimizedFDA",), G, BOB, 1e6, SMALL)
+@pytest.mark.parametrize(
+    "g",
+    [G, ArrayGeometry(n_antennas=64, carrier_hz=3e9, spacing_m=0.04)],
+    ids=["half-wavelength", "spacing-0.04"],
+)
+def test_sweep_rows_with_equal_inputs_are_equal(g):
+    # a sweep over N keeps g's spacing, so its N=64 row is the F=1 MHz row
+    by_n = sweep("n_antennas", (16, 64), ("OptimizedFDA",), g, BOB, 1e6, SMALL)
+    by_f = sweep("f_delta", (0.5e6, 1e6), ("OptimizedFDA",), g, BOB, 1e6, SMALL)
     n64, f1 = by_n[1], by_f[1]
     assert (n64.value, f1.value) == (64.0, 1e6)
     assert (n64.mean_area_fraction, n64.std_area_fraction, n64.mean_area_m2, n64.n_seeds) == (
