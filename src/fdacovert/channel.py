@@ -180,18 +180,27 @@ class _Nodes:
             self.inv_r = 1.0 / self.r
             self.sin_t = y * self.inv_r
 
+    def astype(self, dtype):
+        """The same nodes with r, 1/r and sin(theta) rounded to dtype."""
+        cast = object.__new__(_Nodes)
+        cast.r, cast.inv_r, cast.sin_t = (
+            a.astype(dtype) for a in (self.r, self.inv_r, self.sin_t)
+        )
+        return cast
+
 
 def _element_phases(coeffs, nodes: _Nodes):
-    """Each element's phase at the nodes in turn, in one reused float64 buffer.
+    """Each element's phase at the nodes in turn, in one reused buffer of the nodes' dtype.
 
     The one phase formation of the grid map (fieldmap's value and mask
     paths) and of the region search (schemes._RegionSample).  The phases
     are not reduced (up to thousands of radians); the r = 0 node gets nan
     from 0 * inf, so callers run this under np.errstate(invalid="ignore").
+    Coefficients of the nodes' dtype keep every operation in that dtype.
     """
     k, c1, c2, ref = coeffs
-    phase = np.empty(nodes.r.shape)
-    tmp = np.empty(nodes.r.shape)
+    phase = np.empty(nodes.r.shape, dtype=nodes.r.dtype)
+    tmp = np.empty_like(phase)
     for n in range(k.size):
         np.multiply(nodes.r, k[n], out=phase)
         np.multiply(nodes.inv_r, c1[n], out=tmp)

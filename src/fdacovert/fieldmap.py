@@ -11,9 +11,11 @@ Two paths form phases with channel._element_phases, as the region search does:
 - the float64 value path, evaluate_grid and extract_noncovert, gives every
   cell's value; heatmap prints it, and it is the oracle of the mask path;
 - the certified mask path, noncovert_region, gives only each cell's side of
-  the threshold, from float32 sin/cos plus a float64 recompute of the cells
-  within the float32 error bound of it, so its mask equals the value
-  path's cell for cell.  region, sweep and monte_carlo_rate use it.
+  the threshold.  It forms the phases in float32, relative to the carrier,
+  and sums their float32 sin/cos in float32 (_float32_block), then
+  recomputes in float64 the cells within the derived error bound of the
+  threshold, so its mask equals the value path's cell for cell.  region,
+  sweep and monte_carlo_rate use it.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .channel import (
     _element_phases,
     _Nodes,
     _phase_coefficients,
-    _reduce_phase,
     channel_gain_amplitude,
     channel_vector,
     covert_rate,
@@ -205,46 +206,70 @@ _SAFETY = 2.0
 
 
 def _float32_block(coeffs, nodes: _Nodes):
-    """(raw32, bound): the raw correlation via float32 sin/cos, and how far it may be off.
+    """(raw32, bound): the raw correlation in float32, and per node how far it may be off.
 
-    Each phase, formed in float64 as in _correlation_block, is reduced by
-    _reduce_phase to phase - 2 pi rint(phase / 2 pi), cast to float32 for
-    sin and cos, and the terms are accumulated in float64.  With
-    eps = float32 eps = 2^-23, per term e^{j phase_n} is off by at most
-        delta = 2 sqrt(2) eps           (2 ulps, of at most eps, in cos and sin)
-              + 2 eps                   (the cast of a |phase| < 4)
-              + eps64 (max|phase| + 6)  (the float64 reduction),
-    with max|phase| bounded over the block from max r and max 1/r.  So
-    |S32 - S64| / N <= delta, and since |S| <= N,
-    |raw32 - raw64| <= 2 delta + delta^2; float64 trig, accumulation and
-    squaring in both paths add 8 (N + 4) eps64.  bound is that sum, ~1.2e-6
-    for grids within a few hundred wavelengths; _mask_block recomputes
-    within _SAFETY = 2 times it.  The largest error measured on the default
-    maps is ~2e-8.
+    Adding one phase to every element leaves |S| as it is, so the phases
+    are formed less k0 r - c0, with k0 and c0 the midranges of k and ref (k0
+    is the carrier wavenumber of LPA and LinearFDA plans).  That drops the
+    largest term, ~3,000 rad at the default grid's far corner.  The shifted
+    coefficients (k - k0, c1, c2, ref - c0) and the nodes' r, 1/r and
+    sin(theta) are cast to float32, _element_phases forms the phases in
+    float32 (up to a few hundred rad away from the origin), and their
+    float32 sin and cos are summed in float32.  Only the squares of the two
+    sums are taken in float64.
+
+    The bound follows Higham, Accuracy and Stability of Numerical
+    Algorithms (2nd ed., 2002), Lemma 3.1 and section 4.2, with u = eps / 2,
+    eps = 2^-23 and gamma_m = m u / (1 - m u).  At a node, let T_n be the
+    sum of the |terms| of element n's shifted phase, |(k_n - k0) r| +
+    |c1_n / r| + |c2_n sin(theta)| + |ref_n - c0|, and T64_n that of its
+    unshifted phase.
+      - Casts: a coefficient, shifted in float64 and rounded to float32, is
+        off by a factor (1 + u64)(1 + u) <= (1 + u)^2, a node value by
+        (1 + u).
+      - Formation: one product and at most three sums per term.  So each
+        term carries at most 7 factors (1 + theta), |theta| <= u, and the
+        phase is off by at most gamma_7 T_n <= 4 eps T_n.
+      - Trig: cos and sin are off by _TRIG_ULPS ulps, of at most eps, each.
+      - Accumulation: recursive summation of N phasors of modulus ~1 is off
+        by at most gamma_(N-1) N <= N^2 eps in |S|.
+    As |e^{ja} - e^{jb}| <= |a - b|, these give
+        |S32 - S| / N <= 4 eps mean_n T_n + sqrt(2) _TRIG_ULPS eps + N eps.
+    The float64 value path forms its unshifted phases to within gamma_4 of
+    their |terms| in float64, which adds 4 eps64 mean_n T64_n; delta is the
+    sum, per node.  Since |S| <= N, |raw32 - raw64| <= 2 delta + delta^2, to
+    which float64 trig, accumulation and squaring in both paths add
+    8 (N + 4) eps64.  bound is that sum: ~3e-5 (N = 16) to ~1.3e-4 (N = 64)
+    over most of the default grid, and larger next to the origin, where
+    c1 / r reaches thousands of rad.  The largest error measured on the
+    default grid's extent is 1-4% of it.  _mask_block recomputes within
+    _SAFETY = 2 times it.  The r = 0 node gets nan.
     """
     k, c1, c2, ref = coeffs
+    shifted = (k - 0.5 * (k.min() + k.max()), c1, c2, ref - 0.5 * (ref.min() + ref.max()))
     shape = nodes.r.shape
-    turns = np.empty(shape)
-    phase32 = np.empty(shape, dtype=np.float32)
     trig = np.empty(shape, dtype=np.float32)
-    acc_re = np.zeros(shape)
-    acc_im = np.zeros(shape)
-    with np.errstate(invalid="ignore"):
-        for phase in _element_phases(coeffs, nodes):
-            phase32[...] = _reduce_phase(phase, turns)  # in the generator's buffer
-            np.cos(phase32, out=trig)
-            acc_re += trig
-            np.sin(phase32, out=trig)
-            acc_im += trig
-    max_phase = (
-        np.max(np.abs(k)) * np.max(nodes.r)
-        + np.max(np.abs(c1)) * np.max(nodes.inv_r, where=nodes.r > 0.0, initial=0.0)
-        + np.max(np.abs(c2)) + np.max(np.abs(ref))
-    )
+    acc_re = np.zeros(shape, dtype=np.float32)
+    acc_im = np.zeros(shape, dtype=np.float32)
+    coeffs32 = tuple(c.astype(np.float32) for c in shifted)
     eps, eps64 = float(np.finfo(np.float32).eps), float(np.finfo(float).eps)
-    delta = math.sqrt(2.0) * _TRIG_ULPS * eps + 2.0 * eps + eps64 * (max_phase + 6.0)
-    bound = 2.0 * delta + delta * delta + 8.0 * (k.size + 4) * eps64
-    return _power(acc_re, acc_im, k.size), bound
+    with np.errstate(invalid="ignore"):
+        for phase in _element_phases(coeffs32, nodes.astype(np.float32)):
+            np.cos(phase, out=trig)
+            acc_re += trig
+            np.sin(phase, out=trig)
+            acc_im += trig
+        # 4 eps mean_n T_n + 4 eps64 mean_n T64_n, weighing r, 1/r, |sin(theta)| and 1
+        w_k, w_c1, w_c2, w_ref = (
+            4.0 * eps * float(np.mean(np.abs(a))) + 4.0 * eps64 * float(np.mean(np.abs(b)))
+            for a, b in zip(shifted, coeffs)
+        )
+        delta = w_k * nodes.r + w_c1 * nodes.inv_r
+        delta += w_c2 * np.abs(nodes.sin_t)
+        delta += w_ref + (math.sqrt(2.0) * _TRIG_ULPS + k.size) * eps
+        bound = delta * (delta + 2.0)
+        bound += 8.0 * (k.size + 4) * eps64
+    return _power(acc_re.astype(float), acc_im.astype(float), k.size), bound
 
 
 def _mask_block(coeffs, x, y, cut, decide):
@@ -439,13 +464,13 @@ def noncovert_region(
     its value.  Per row block, every cell is compared in raw units
     (|S|^2 / N^2) with the threshold: t times the focus cell's raw value
     (fraction mode) or q N / beta^2(r) (kl mode).  The raw value comes from
-    float32 sin/cos, ~30x cheaper than float64, and every cell within the
-    derived error bound of the threshold (see _float32_block) is recomputed
-    in float64 and put through extract_noncovert's own predicate.  The
-    focus cell's normalizer is the float64 kernel's value.  So the mask
-    equals the value path's cell for cell, and only a bool mask is ever
-    allocated for the whole grid.  Warnings and errors are evaluate_grid's
-    and extract_noncovert's.
+    float32 phases, sin/cos and sums, and every cell within the derived
+    error bound of the threshold (see _float32_block), 0.01-0.05% of the
+    cells on the default and 0.02 m grids, is recomputed in float64 and put
+    through extract_noncovert's own predicate.  The focus cell's normalizer
+    is the float64 kernel's value.  So the mask equals the value path's cell
+    for cell, and only a bool mask is ever allocated for the whole grid.
+    Warnings and errors are evaluate_grid's and extract_noncovert's.
     """
     coeffs = _phase_coefficients(g, plan, bob)
     bob_cell, normalizer = _focus_normalizer(coeffs, bob, spec)
@@ -479,16 +504,23 @@ def noncovert_region(
 
 
 def float32_error(g: ArrayGeometry, plan: FrequencyPlan, bob: PolarPoint, spec: GridSpec):
-    """(max |raw32 - raw64| over a small grid, the bound noncovert_region assumes for it).
+    """The largest |raw32 - raw64| / bound over a sparse lattice of spec's nodes.
 
     The bound rests on numpy's float32 sin/cos being accurate to _TRIG_ULPS
-    ulps; this measures whether the installed numpy keeps it.  The grid is
-    evaluated as one block.
+    ulps over the phases noncovert_region forms; this measures whether the
+    installed numpy keeps it, so the result must not exceed 1.  The
+    lattice's rows and columns are spec's at geometrically spaced indices
+    from the second to the last, so its nodes run from the one next to the
+    grid's first corner out to its far corner.  It is evaluated as one block.
     """
     coeffs = _phase_coefficients(g, plan, bob)
-    x, y = spec.xs()[None, :], spec.ys()[:, None]
+
+    def lattice(values):
+        return values[np.unique(np.geomspace(1, values.size - 1, 48).astype(int))]
+
+    x, y = lattice(spec.xs())[None, :], lattice(spec.ys())[:, None]
     raw32, bound = _float32_block(coeffs, _Nodes(x, y))
-    return float(np.nanmax(np.abs(raw32 - _correlation_block(coeffs, x, y)))), bound
+    return float(np.nanmax(np.abs(raw32 - _correlation_block(coeffs, x, y)) / bound))
 
 
 def sweep(
@@ -515,7 +547,8 @@ def sweep(
     this grid and threshold: J gives its starting point and floor, the
     measured region chooses it (see schemes.optimized_fda_plan).
     Every plan depends only on its own row's inputs, so equal rows of two
-    sweeps are equal.
+    sweeps are equal.  A plan met again, such as LPA's at every increment,
+    reuses its first area fraction.
     """
     if parameter not in ("n_antennas", "f_delta"):
         raise DomainError(f"unknown sweep parameter {parameter!r}")
@@ -524,6 +557,7 @@ def sweep(
     if SCHEME_RANDOM in scheme_names and not seeds:
         raise DomainError("RandomFDA rows need at least one seed")
     target = RegionSpec(grid, threshold_mode, threshold_value)
+    fraction_of = {}  # (geometry, offsets) -> area fraction
     rows = []
     for value in values:
         if parameter == "n_antennas":
@@ -540,10 +574,12 @@ def sweep(
                     scheme, g_v, bob, f_v, seed=run_seed,
                     box_half_width_hz=box_half_width_hz, region=target,
                 )
-                region = noncovert_region(
-                    g_v, plan, bob, grid, threshold_mode, threshold_value
-                )
-                fractions.append(region.area_fraction)
+                key = (g_v, plan.offsets_hz)
+                if key not in fraction_of:
+                    fraction_of[key] = noncovert_region(
+                        g_v, plan, bob, grid, threshold_mode, threshold_value
+                    ).area_fraction
+                fractions.append(fraction_of[key])
             arr = np.asarray(fractions)
             rows.append(
                 SweepRow(

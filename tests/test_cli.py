@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from fdacovert import ArrayGeometry, GridSpec, PolarPoint, evaluate_grid, lpa_plan
 from fdacovert import cli, fieldmap
-from fdacovert.cli import _grid_row_text, emit_csv, fmt, main, read_field_csv
+from fdacovert.cli import _grid_row_text, emit_csv, fmt, main
 from fdacovert.config import ConfigError, build_config, load_config
+from field_csv import read_field_csv
 
 # keep CLI-driven runs quick: a coarse grid and small sweeps
 FAST = [

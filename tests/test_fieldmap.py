@@ -467,6 +467,61 @@ def test_gathered_float64_recompute_matches_full_grid(seed, cells):
                                   fmap.values[iy, ix])
 
 
+FAR = GridSpec(0.0, 40.0, 0.0, 40.0, 0.5)  # the default grid's extent, coarsely
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("scheme", ["LPA", "LinearFDA", "RandomFDA", "OptimizedFDA"])
+def test_float32_bound_holds_out_to_the_far_corner(scheme, n):
+    # the far field is where |k_n - k0| r, the term the carrier shift keeps, is largest
+    g = ArrayGeometry(n_antennas=n, carrier_hz=3e9)
+    plan = build_plan(scheme, g, BOB, 2e6, seed=1)
+    coeffs = fieldmap._phase_coefficients(g, plan, BOB)
+    xs = FAR.xs()[None, :]
+    for i0 in range(0, FAR.n_y, 16):  # the row blocks noncovert_region forms here
+        ys = FAR.ys()[i0:i0 + 16, None]
+        nodes = fieldmap._Nodes(xs, ys)
+        raw32, bound = fieldmap._float32_block(coeffs, nodes)
+        error = np.abs(raw32 - fieldmap._correlation_block(coeffs, xs, ys))
+        off_origin = nodes.r > 0.0
+        assert np.all(error[off_origin] <= bound[off_origin])
+    fmap = evaluate_grid(g, plan, BOB, FAR)
+    q = CovertnessBudget(1.0, 100, 1e-9, 0.1).threshold_q
+    for mode, value in (("fraction", 0.1), ("kl", q)):
+        assert_same_region(
+            extract_noncovert(fmap, mode, value),
+            noncovert_region(g, plan, BOB, FAR, mode, value),
+        )
+
+
+def test_sweep_measures_each_distinct_plan_once(monkeypatch):
+    measured = []
+    noncovert = fieldmap.noncovert_region
+
+    def counting(g, plan, *args):
+        measured.append((g, plan.offsets_hz))
+        return noncovert(g, plan, *args)
+
+    monkeypatch.setattr(fieldmap, "noncovert_region", counting)
+    seeds = (0, 1)
+    rows = sweep(
+        "f_delta", (0.5e6, 1e6, 2e6), ("LPA", "LinearFDA", "RandomFDA"), G, BOB, 1e6,
+        SMALL, seeds=seeds,
+    )
+    # LPA's plan is the same at every increment
+    assert len(measured) == len(set(measured)) == 1 + 3 + 3 * len(seeds)
+    for row in rows:
+        run_seeds = seeds if row.scheme == "RandomFDA" else (0,)
+        fractions = np.array([
+            noncovert(G, build_plan(row.scheme, G, BOB, row.value, seed=s), BOB, SMALL)
+            .area_fraction
+            for s in run_seeds
+        ])
+        assert (row.mean_area_fraction, row.std_area_fraction) == (
+            float(fractions.mean()), float(fractions.std())
+        )
+
+
 # ---------------------------------------------------- Monte-Carlo rate sampling
 
 def test_monte_carlo_weighs_every_cell_as_area_fraction_does(monkeypatch):

@@ -19,9 +19,10 @@ from fdacovert import (
     optimized_fda_plan,
     sweep,
 )
-from fdacovert.cli import main, read_field_csv
+from fdacovert.cli import main
 from fdacovert.config import load_config
 from fdacovert.schemes import _region_sample
+from field_csv import read_field_csv
 
 G = ArrayGeometry(n_antennas=64, carrier_hz=3e9)
 BOB = PolarPoint(7.0711, math.radians(45.0))
