@@ -36,7 +36,6 @@ class FrequencyPlan:
     """
 
     offsets_hz: tuple
-    base_increment_hz: float
     scheme: str
     seed: Optional[int] = None
 

@@ -15,7 +15,11 @@ Two paths form phases with channel._element_phases, as the region search does:
   and sums their float32 sin/cos in float32 (_float32_block), then
   recomputes in float64 the cells within the derived error bound of the
   threshold, so its mask equals the value path's cell for cell.  region,
-  sweep and monte_carlo_rate use it.
+  sweep and monte_carlo_rate use it.  In kl mode a cell is non-covert only
+  if its raw value |S|^2 / N^2, never above 1, reaches q N / beta^2(r),
+  which grows as r^2; so no cell beyond the reach radius
+  r* = lambda / (4 pi) sqrt(1 / (q N)), 21.5 m at the defaults, is
+  evaluated (_mask_block).
 """
 
 from __future__ import annotations
@@ -272,7 +276,7 @@ def _float32_block(coeffs, nodes: _Nodes):
     return _power(acc_re.astype(float), acc_im.astype(float), k.size), bound
 
 
-def _mask_block(coeffs, x, y, cut, decide):
+def _mask_block(coeffs, x, y, cut, decide, reach=None):
     """Non-covert mask at the nodes (x, y): the certified mask path.
 
     cut(r) is the threshold in raw units at radius r.  A node whose float32
@@ -280,7 +284,31 @@ def _mask_block(coeffs, x, y, cut, decide):
     is on the side the float64 value would put it; decide(x, y) settles the
     others from their float64 values.  No float64 value array outlives the
     block.
+
+    With a reach (kl mode), a node whose cut exceeds reach is covert without
+    evaluation; only the others are gathered, evaluated as above and
+    scattered back.  Their r, 1/r and sin(theta) are elementwise, so their
+    phases are bit-identical to the whole block's.  reach is 1 + 8 (N + 4)
+    eps64, the term _float32_block's bound allows for float64 trig,
+    accumulation and squaring, and it bounds every raw value a detected
+    node can have, with u = eps64 / 2:
+      - The float64 value path sums N phasors whose float64 sin and cos are
+        within 4 ulps, so each has modulus <= 1 + 4 sqrt(2) eps64, and
+        recursive summation adds gamma_(N-1) N.  So |S| <= N (1 + (6 +
+        N / 2) eps64), and squaring, adding and dividing by N^2 round three
+        times: raw <= 1 + (N + 14) eps64.
+      - extract_noncovert's predicate value * ref * beta^2 / N >= q, with
+        value = raw / ref, rounds four times, and cut = q N / beta^2 twice,
+        with the same beta^2.  So a detected node has cut <= raw (1 + u)^6
+        <= 1 + (N + 18) eps64 < reach.
     """
+    if reach is not None:
+        x, y = np.broadcast_arrays(x, y)
+        with np.errstate(divide="ignore"):
+            live = np.nonzero(cut(np.hypot(x, y)) <= reach)
+        mask = np.zeros(x.shape, dtype=bool)
+        mask[live] = _mask_block(coeffs, x[live], y[live], cut, decide)
+        return mask
     nodes = _Nodes(x, y)
     raw, bound = _float32_block(coeffs, nodes)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -294,16 +322,16 @@ def _mask_block(coeffs, x, y, cut, decide):
     return mask
 
 
-def _run_row_blocks(spec: GridSpec, n_threads: Optional[int], fill) -> None:
-    """fill(i0, i1) for each block of grid rows, on a thread pool.
+def _run_row_blocks(rows: range, n_threads: Optional[int], fill) -> None:
+    """fill(i0, i1) for each block of the grid rows in rows, on a thread pool.
 
     The blocks are disjoint, so the result is the same for any thread count.
     """
     threads = resolve_threads(n_threads)
-    block_rows = max(16, spec.n_y // (threads * 8))
-    starts = range(0, spec.n_y, block_rows)
+    block_rows = max(16, len(rows) // (threads * 8))
+    starts = range(rows.start, rows.stop, block_rows)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(lambda i0: fill(i0, min(spec.n_y, i0 + block_rows)), starts))
+        list(pool.map(lambda i0: fill(i0, min(rows.stop, i0 + block_rows)), starts))
 
 
 def _focus_normalizer(coeffs, bob: PolarPoint, spec: GridSpec):
@@ -368,7 +396,7 @@ def evaluate_grid(
     def fill(i0, i1):
         values[i0:i1] = _correlation_block(coeffs, xs[None, :], ys[i0:i1, None])
 
-    _run_row_blocks(spec, n_threads, fill)
+    _run_row_blocks(range(spec.n_y), n_threads, fill)
     if bob_cell is not None:
         values /= normalizer
 
@@ -471,12 +499,23 @@ def noncovert_region(
     is the float64 kernel's value.  So the mask equals the value path's cell
     for cell, and only a bool mask is ever allocated for the whole grid.
     Warnings and errors are evaluate_grid's and extract_noncovert's.
+
+    In kl mode no cell beyond the reach radius r* = lambda / (4 pi)
+    sqrt(1 / (q N)) is evaluated: 21.5 m at the defaults, with 23% of the
+    default grid's cells within it.  There the cut exceeds 1 plus a rounding
+    margin, the most that the float64 value path's raw value and predicate
+    can reach (derived in _mask_block), so the value path calls such a
+    cell covert too.  Rows whose every node lies beyond r* form no nodes at
+    all.  The fractional cut is at most the focus cell's raw value, so
+    fraction mode evaluates every cell and makes no such test.
     """
     coeffs = _phase_coefficients(g, plan, bob)
     bob_cell, normalizer = _focus_normalizer(coeffs, bob, spec)
     _beyond_rayleigh(g, spec)
     _check_threshold(threshold_mode, threshold_value, bob_cell)
     n, lam = g.n_antennas, g.wavelength_m
+    xs, ys = spec.xs(), spec.ys()
+    rows, reach = range(spec.n_y), None
     if threshold_mode == "fraction":
         raw_cut = threshold_value * normalizer
 
@@ -487,19 +526,25 @@ def noncovert_region(
         def cut(r):
             return threshold_value * n / _beta_sq(lam, r)
 
+        reach = 1.0 + 8.0 * (n + 4) * float(np.finfo(float).eps)
+        # row i's nodes lie at r >= max(|y_i|, min |x|) (hypot rounds
+        # faithfully), and cut's float64 operations are monotone in r
+        with np.errstate(divide="ignore"):
+            live = np.flatnonzero(cut(np.maximum(np.abs(ys), np.abs(xs).min())) <= reach)
+        rows = range(live[0], live[-1] + 1) if live.size else range(0)
+
     def decide(x, y):
         values = _correlation_block(coeffs, x, y) / normalizer
         return _non_covert(
             values, threshold_mode, threshold_value, normalizer, lam, n, np.hypot(x, y)
         )
 
-    xs, ys = spec.xs(), spec.ys()
-    mask = np.empty((spec.n_y, spec.n_x), dtype=bool)
+    mask = np.zeros((spec.n_y, spec.n_x), dtype=bool)
 
     def fill(i0, i1):
-        mask[i0:i1] = _mask_block(coeffs, xs[None, :], ys[i0:i1, None], cut, decide)
+        mask[i0:i1] = _mask_block(coeffs, xs[None, :], ys[i0:i1, None], cut, decide, reach)
 
-    _run_row_blocks(spec, n_threads, fill)
+    _run_row_blocks(rows, n_threads, fill)
     return _region_result(spec, mask)
 
 

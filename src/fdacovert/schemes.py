@@ -44,9 +44,7 @@ _WIDTH = 0.25  # sigmoid width in ln(value / threshold)
 
 def lpa_plan(g: ArrayGeometry) -> FrequencyPlan:
     """All elements on the carrier: zero offsets."""
-    return FrequencyPlan(
-        offsets_hz=(0.0,) * g.n_antennas, base_increment_hz=0.0, scheme=SCHEME_LPA
-    )
+    return FrequencyPlan(offsets_hz=(0.0,) * g.n_antennas, scheme=SCHEME_LPA)
 
 
 def linear_fda_plan(g: ArrayGeometry, f_delta_hz: float) -> FrequencyPlan:
@@ -65,7 +63,6 @@ def linear_fda_plan(g: ArrayGeometry, f_delta_hz: float) -> FrequencyPlan:
     offsets = ((g.n_antennas + 1) / 2.0 - n) * f_delta_hz
     return FrequencyPlan(
         offsets_hz=tuple(offsets),
-        base_increment_hz=f_delta_hz,
         scheme=SCHEME_LPA if f_delta_hz == 0.0 else SCHEME_LINEAR,
     )
 
@@ -82,7 +79,6 @@ def random_fda_plan(g: ArrayGeometry, f_delta_hz: float, seed: int) -> Frequency
     k_n = rng.uniform(-g.n_antennas / 2.0, g.n_antennas / 2.0, g.n_antennas)
     return FrequencyPlan(
         offsets_hz=tuple(k_n * f_delta_hz),
-        base_increment_hz=f_delta_hz,
         scheme=SCHEME_RANDOM,
         seed=seed,
     )
@@ -140,7 +136,6 @@ def optimized_fda_plan(
         offsets = refine_for_region(g, bob, box, offsets, region)
     return FrequencyPlan(
         offsets_hz=offsets,
-        base_increment_hz=f_delta_hz,
         scheme=SCHEME_OPTIMIZED,
         seed=seed,
     )

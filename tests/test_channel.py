@@ -84,7 +84,7 @@ def test_single_offset_changes_single_entry():
     base = lpa_plan(G)
     offs = [0.0] * G.n_antennas
     offs[10] = 2e5
-    bumped = FrequencyPlan(tuple(offs), 2e5, "OptimizedFDA")
+    bumped = FrequencyPlan(tuple(offs), "OptimizedFDA")
     h0 = channel_vector(G, base, BOB)
     h1 = channel_vector(G, bumped, BOB)
     diff = np.nonzero(h0.entries != h1.entries)[0]

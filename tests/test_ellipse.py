@@ -74,7 +74,7 @@ def test_g_coefficients_two_element_identity():
 def test_constant_psi_zeroes_difference_coefficients():
     curvature = G.carrier_hz * G.spacing_m**2 / (2 * BOB.r_m**2)
     delta = np.arange(G.n_antennas, dtype=float)
-    plan = FrequencyPlan(tuple(curvature * delta * delta), 0.0, "OptimizedFDA")
+    plan = FrequencyPlan(tuple(curvature * delta * delta), "OptimizedFDA")
     g1, g2, _ = g_coefficients(G, plan, BOB)
     assert abs(g1) < 1e-20
     assert abs(g2) < 1e-12
@@ -223,7 +223,7 @@ def test_area_decreases_when_objective_increases():
     j_high = objective_and_gradient(G, BOB, f_high)[0]
     assert j_high > j_low
     plan_low = lpa_plan(G)
-    plan_high = FrequencyPlan(tuple(f_high), 8e6, "OptimizedFDA")
+    plan_high = FrequencyPlan(tuple(f_high), "OptimizedFDA")
     area_low = ellipse_area(g_coefficients(G, plan_low, BOB), G.n_antennas, 0.1)
     area_high = ellipse_area(g_coefficients(G, plan_high, BOB), G.n_antennas, 0.1)
     assert area_high < area_low

@@ -1,6 +1,7 @@
 """Grid engine: beampattern maps, non-covert regions, sweeps, Monte Carlo."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -349,7 +350,7 @@ def test_fraction_threshold_refuses_focus_off_grid():
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from fdacovert import build_plan, fieldmap, noncovert_region  # noqa: E402
+from fdacovert import RegionSpec, build_plan, fieldmap, noncovert_region  # noqa: E402
 
 DESK = GridSpec(0.0, 8.0, 0.0, 8.0, 0.1)
 
@@ -515,6 +516,96 @@ def test_sweep_measures_each_distinct_plan_once(monkeypatch):
         fractions = np.array([
             noncovert(G, build_plan(row.scheme, G, BOB, row.value, seed=s), BOB, SMALL)
             .area_fraction
+            for s in run_seeds
+        ])
+        assert (row.mean_area_fraction, row.std_area_fraction) == (
+            float(fractions.mean()), float(fractions.std())
+        )
+
+
+# ------------------------------------------- kl mode: the reach radius r*
+
+KL_Q = CovertnessBudget(1.0, 100, 1e-9, 0.1).threshold_q  # the default budget's q
+
+
+@pytest.mark.parametrize(
+    "scheme, focus, extent",
+    [
+        ("LPA", (5.0, 5.0), (4.0, 6.0, 4.0, 6.0)),
+        ("RandomFDA", (5.0, 5.0), (4.0, 6.0, 4.0, 6.0)),
+        # the focus cell's node at x = 0: its row is the last row within reach
+        ("RandomFDA", (1e-9, 7.05), (-1.0, 1.0, 6.0, 8.0)),
+    ],
+)
+def test_kl_reach_boundary_through_the_focus_cell(scheme, focus, extent):
+    # q at the focus cell's own gain puts r* = lambda / (4 pi) sqrt(1 / (q N)),
+    # beyond which no cell can be detected, at the focus cell's radius.  The
+    # focus lies on (or 1 nm from) a grid node, so that cell's raw value is 1
+    # up to rounding, where the reach cut has the least margin.
+    bob = PolarPoint(math.hypot(*focus), math.atan2(focus[1], focus[0]))
+    around = GridSpec(*extent, 0.05)
+    plan = build_plan(scheme, G, bob, 1e6, seed=3)
+    fmap = evaluate_grid(G, plan, bob, around)
+    iy, ix = fmap.metadata["bob_cell"]
+    focus_gain = float(gains(fmap)[iy, ix])
+    r_focus = math.hypot(around.xs()[ix], around.ys()[iy])
+    r_star = G.wavelength_m / (4.0 * math.pi) * math.sqrt(1.0 / (focus_gain * G.n_antennas))
+    assert abs(r_star - r_focus) < around.step_m / 4
+    for q, detected in (
+        (np.nextafter(focus_gain, 0.0), True),
+        (focus_gain, True),
+        (np.nextafter(focus_gain, np.inf), False),
+    ):
+        exact = extract_noncovert(fmap, "kl", float(q))
+        assert exact.mask[iy, ix] == detected
+        assert_same_region(exact, noncovert_region(G, plan, bob, around, "kl", float(q)))
+
+
+def test_kl_mask_path_evaluates_only_nodes_within_reach(monkeypatch):
+    evaluated = []
+    float32_block = fieldmap._float32_block
+
+    def counting(coeffs, nodes):
+        evaluated.append(nodes.r.size)
+        return float32_block(coeffs, nodes)
+
+    monkeypatch.setattr(fieldmap, "_float32_block", counting)
+    plan = random_fda_plan(G, 1e6, 1)
+    fmap = evaluate_grid(G, plan, BOB, FAR)
+    for mode, value in (("kl", KL_Q), ("fraction", 0.1)):
+        evaluated.clear()
+        region = noncovert_region(G, plan, BOB, FAR, mode, value)
+        assert_same_region(extract_noncovert(fmap, mode, value), region)
+        if mode == "kl":  # r* = 21.5 m: under a quarter of the grid lies within it
+            assert sum(evaluated) < 0.3 * FAR.n_cells
+        else:  # the fractional cut never exceeds the focus cell's value
+            assert sum(evaluated) == FAR.n_cells
+
+
+@pytest.mark.parametrize(
+    "parameter, values", [("n_antennas", (16, 64)), ("f_delta", (0.5e6, 2e6))]
+)
+def test_kl_sweeps_match_the_value_path(parameter, values):
+    schemes = ("LPA", "LinearFDA", "RandomFDA", "OptimizedFDA")
+    seeds = (0, 1)
+    rows = sweep(
+        parameter, values, schemes, G, BOB, 1e6, FAR, seeds=seeds,
+        threshold_mode="kl", threshold_value=KL_Q,
+    )
+    assert len(rows) == len(values) * len(schemes)
+    target = RegionSpec(FAR, "kl", KL_Q)
+    for row in rows:
+        if parameter == "n_antennas":
+            g, f_delta = replace(G, n_antennas=int(row.value)), 1e6
+        else:
+            g, f_delta = G, row.value
+        run_seeds = seeds if row.scheme == "RandomFDA" else (0,)
+        fractions = np.array([
+            extract_noncovert(
+                evaluate_grid(g, build_plan(row.scheme, g, BOB, f_delta, seed=s, region=target),
+                              BOB, FAR),
+                "kl", KL_Q,
+            ).area_fraction
             for s in run_seeds
         ])
         assert (row.mean_area_fraction, row.std_area_fraction) == (

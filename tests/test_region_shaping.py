@@ -143,7 +143,7 @@ def test_sample_ratios_match_the_float64_map(mode, value):
     # ~1e-6 rad) bound the difference far below 1e-3
     f = np.random.default_rng(6).uniform(-0.5e6, 0.5e6, 64)
     sample = _region_sample(G, BOB, [f], RegionSpec(DESK, mode, value))
-    fmap = evaluate_grid(G, FrequencyPlan(tuple(f), 1e6, "OptimizedFDA"), BOB, DESK)
+    fmap = evaluate_grid(G, FrequencyPlan(tuple(f), "OptimizedFDA"), BOB, DESK)
     nodes = slice(None, -1) if mode == "fraction" else slice(None)  # minus the focus row
     x, y = sample.x[nodes], sample.y[nodes]
     cells = [DESK.cell_of(a, b) for a, b in zip(x, y)]
@@ -174,7 +174,7 @@ def test_optimize_plan_is_the_plan_region_and_heatmap_build(tmp_path):
 
     assert main(["heatmap", "--out", built] + FAST) == 0
     _, _, _, values = read_field_csv(os.path.join(built, "heatmap_OptimizedFDA.csv"))
-    plan = FrequencyPlan(tuple(payload["offsets_hz"]), 1e6, "OptimizedFDA")
+    plan = FrequencyPlan(tuple(payload["offsets_hz"]), "OptimizedFDA")
     expected = evaluate_grid(G, plan, BOB, SMALL).values.ravel()
     np.testing.assert_array_equal(values, expected)
 
