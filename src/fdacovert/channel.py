@@ -43,6 +43,8 @@ class FrequencyPlan:
         if self.scheme not in SCHEMES:
             raise DomainError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
         offs = tuple(float(v) for v in self.offsets_hz)
+        if not all(math.isfinite(v) for v in offs):
+            raise DomainError(f"frequency offsets must be finite, got {offs}")
         object.__setattr__(self, "offsets_hz", offs)
         if self.scheme == SCHEME_LPA and any(v != 0.0 for v in offs):
             raise DomainError("LPA plan must have all-zero offsets")
@@ -196,11 +198,14 @@ def _element_phases(coeffs, nodes: _Nodes):
     are not reduced (up to thousands of radians); the r = 0 node gets nan
     from 0 * inf, so callers run this under np.errstate(invalid="ignore").
     Coefficients of the nodes' dtype keep every operation in that dtype.
+    Coefficients shaped (groups, E, 1), against nodes shaped (1, M), give
+    each group's E elements at once, as an (E, M) buffer, with the same
+    operations on every value.
     """
     k, c1, c2, ref = coeffs
-    phase = np.empty(nodes.r.shape, dtype=nodes.r.dtype)
+    phase = np.empty(np.broadcast_shapes(np.shape(k[0]), nodes.r.shape), dtype=nodes.r.dtype)
     tmp = np.empty_like(phase)
-    for n in range(k.size):
+    for n in range(len(k)):
         np.multiply(nodes.r, k[n], out=phase)
         np.multiply(nodes.inv_r, c1[n], out=tmp)
         phase += tmp

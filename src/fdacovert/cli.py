@@ -40,6 +40,7 @@ from .fieldmap import (
     float32_error,
     monte_carlo_rate,
     noncovert_region,
+    sincos_error,
     sweep,
 )
 from .geometry import DomainError
@@ -201,7 +202,8 @@ def cmd_region(cfg: ExperimentConfig, out_dir: str, plan_file: Optional[str]) ->
     written = []
     summary = []
     if plan_file:
-        plans = [(SCHEME_OPTIMIZED, _load_plan_file(plan_file))]
+        plan = _load_plan_file(plan_file)
+        plans = [(plan.scheme, plan)]
     else:
         plans = [(s, _plan_for(cfg, s)) for s in cfg.sweep_schemes]
     grid = cfg.grid()
@@ -402,7 +404,9 @@ def _selftest_checks(cfg: ExperimentConfig):
 
     def check_certified_mask():
         # the float32 error bound rests on numpy's float32 sin/cos accuracy
-        # over every phase the configured grid forms.  A lattice over the
+        # over every phase the configured grid forms, and the float64 value
+        # path's table-driven sin/cos on libm's being within 1 ulp of exact,
+        # so the latter's are compared there too.  A lattice over the
         # configured extent, 80 nodes along its longer side, reaches past kl
         # mode's reach radius, where the mask path evaluates no node; its
         # step is at most r_b / 2, so the focus never shares the origin's cell.
@@ -411,12 +415,16 @@ def _selftest_checks(cfg: ExperimentConfig):
         grid = cfg.grid()
         extent = max(grid.x_max_m - grid.x_min_m, grid.y_max_m - grid.y_min_m)
         coarse = replace(grid, step_m=min(extent / 79, bob.r_m / 2))
-        return float32_error(g, plan, bob, grid) <= 1.0 and all(
-            np.array_equal(
-                extract_noncovert(evaluate_grid(g, plan, bob, spec), mode, value).mask,
-                noncovert_region(g, plan, bob, spec, mode, value).mask,
+        return (
+            float32_error(g, plan, bob, grid) <= 1.0
+            and sincos_error(g, plan, bob, grid) <= 1.0
+            and all(
+                np.array_equal(
+                    extract_noncovert(evaluate_grid(g, plan, bob, spec), mode, value).mask,
+                    noncovert_region(g, plan, bob, spec, mode, value).mask,
+                )
+                for spec in (small, coarse)
             )
-            for spec in (small, coarse)
         )
 
     return [

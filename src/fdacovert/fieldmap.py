@@ -9,7 +9,9 @@ re-includes the per-cell beta(r).
 
 Two paths form phases with channel._element_phases, as the region search does:
 - the float64 value path, evaluate_grid and extract_noncovert, gives every
-  cell's value; heatmap prints it, and it is the oracle of the mask path;
+  cell's value; heatmap prints it, and it is the oracle of the mask path.
+  Its sin and cos come from one table-driven kernel (_sincos), within
+  eps64 = 2^-52 of libm's;
 - the certified mask path, noncovert_region, gives only each cell's side of
   the threshold.  It forms the phases in float32, relative to the carrier,
   and sums their float32 sin/cos in float32 (_float32_block), then
@@ -181,26 +183,185 @@ def _power(acc_re, acc_im, n_antennas):
     return acc_re
 
 
-def _correlation_block(coeffs, x, y):
+# The value path's sin and cos (_sincos): pi in hexadecimal (its fractional
+# digits are Blowfish's P-array) as the integer _PI_FIXED / 2^_PI_BITS; the
+# table of cos and sin of 2 pi j / _TURN_STEPS; the split 2 pi / _TURN_STEPS
+# = C1 + C2 + C3 (_SPLIT), C1 and C2 with 20 significant bits each; the
+# largest |m| whose reduction is exact; and the most phases one call takes.
+_PI_HEX = "3243F6A8885A308D313198A2E03707344A4093822299F31D0082EFA98EC4E6C89452821E"
+_PI_FIXED, _PI_BITS = int(_PI_HEX, 16), 4 * (len(_PI_HEX) - 1)
+_TURN_STEPS = 4096
+_EXACT_STEPS = 2.0**33
+_CHUNK = 16384
+
+
+def _unit_circle(steps):
+    """Rows cos and sin of 2 pi j / steps, j < steps (a multiple of 8), correctly rounded.
+
+    The powers of e^{2 pi i / steps} fill the first octant in fixed point,
+    whose error (steps times 2^-_PI_BITS) is far below float64's; Python's
+    int division rounds them correctly, and the octant's symmetries fill
+    the rest of the circle.
+    """
+    one = 1 << _PI_BITS
+    theta = 2 * _PI_FIXED // steps
+    re, im, t_re, t_im, n = one, 0, one, 0, 0
+    while t_re or t_im:  # e^{i theta} by its Taylor series
+        n += 1
+        t_re, t_im = -t_im * theta // (one * n), t_re * theta // (one * n)
+        re, im = re + t_re, im + t_im
+    table, quarter = np.empty((2, steps)), steps // 4
+    w_re, w_im = one, 0
+    for j in range(steps // 8 + 1):
+        table[:, j] = table[::-1, quarter - j] = w_re / one, w_im / one
+        w_re, w_im = (w_re * re - w_im * im) >> _PI_BITS, (w_re * im + w_im * re) >> _PI_BITS
+    table[0, quarter:2 * quarter] = -table[1, :quarter]  # a quarter turn on
+    table[1, quarter:2 * quarter] = table[0, :quarter]
+    table[:, 2 * quarter:] = -table[:, :2 * quarter]  # half a turn on
+    return table
+
+
+def _split(n, bits):
+    """The fixed-point n / 2^_PI_BITS as floats: the leading bits of each size, then the rest."""
+    parts = []
+    for size in bits:
+        shift = n.bit_length() - size
+        head = n >> shift << shift
+        parts.append(head / (1 << _PI_BITS))
+        n -= head
+    return (*parts, n / (1 << _PI_BITS))
+
+
+_TABLE = _unit_circle(_TURN_STEPS)
+_SPLIT = np.array(_split(2 * _PI_FIXED // _TURN_STEPS, (20, 20)))[:, None]  # C1, C2, C3
+# sin r = r + r^3 (r^2/120 - 1/6) and cos r - 1 = r^2 (r^2/24 - 1/2), by rows
+_TAYLOR = np.array([[1.0 / 120.0, 1.0 / 6.0], [1.0 / 24.0, 0.5]])
+
+
+def _sincos_scratch(size):
+    """The scratch argument of _sincos for up to size phases."""
+    return np.empty((7, size))
+
+
+def _sincos(phase, scratch, check=True):
+    """Rows cos and sin of each float64 phase, each within eps64 = 2^-52 of libm's.
+
+    phase is overwritten, scratch comes from _sincos_scratch, and the
+    result is a view of two of its rows.  With check false, the caller
+    promises no nan and every |phase| below 2^21 pi, half the exact range
+    below, so no phase is tested against it.  With h = 2 pi / K,
+    K = _TURN_STEPS (Tang, ACM TOMS 1989, table driven; Cody and Waite,
+    1980, argument reduction):
+      - m = rint(phase K / 2 pi), r = ((phase - m C1) - m C2) - m C3 and
+        j = m mod K, so phase = 2 pi q + j h + r with |r| <= h/2 (1 + 2^-18);
+      - cos(j h) and sin(j h) are looked up, correctly rounded, and
+      - cos phase = cT + (cT (cos r - 1) - sT sin r), sin phase = sT +
+        (sT (cos r - 1) + cT sin r), with cos r - 1 = r^2 (r^2/24 - 1/2) and
+        sin r = r + r^3 (r^2/120 - 1/6).
+    Error, for |phase| <= 2^22 pi (|m| <= 2^33, ~1.3e7 rad):
+      - Reduction: m C1 and m C2 are exact (20-bit constants), and phase -
+        m C1, up to 16 rad, is exact by Sterbenz's lemma (for |m| = 1 both
+        are multiples of 2^-63 and differ by less than 2^-10).  Subtracting
+        m C2 and then m C3 leaves less than 2^-10, so each rounds by at most
+        2^-64; m C3 rounds by 2^-69, and the split misses h by 2^-104, which
+        m turns into 2^-71.  So r is within 2^-62 of phase - 2 pi q - j h.
+      - Polynomials: the Taylor terms left out are below 2^-71, and
+        evaluating them rounds by < 2^-63.
+      - Combination: the bracket is below 2^-10, so its roundings and the
+        table's add < 2^-61, and adding it to the table entry rounds by
+        half an ulp of the result.
+    So each result is within ulp(result)/2 + ulp(table entry)/2 + 2^-60 of
+    the exact value v, and libm's within ulp(v), the accuracy assumed of it
+    (sincos_error measures it).  Where |v| >= 1/4 these are at most
+    eps64/4, eps64/4 and eps64/2, and both results, at least 1/8, are
+    multiples of eps64/16, so they differ by at most eps64; where |v| < 1/4
+    they are at most eps64/8 each.  Phases beyond 2^22 pi, where m C1 would
+    round, and nan get libm's cos and sin themselves.  Run under
+    np.errstate(invalid="ignore"): libm's cos and sin of +-inf are invalid.
+    """
+    n = phase.size
+    m, r2 = scratch[0, :n], scratch[1, :n]
+    np.multiply(phase, _TURN_STEPS / (2.0 * math.pi), out=m)
+    np.rint(m, out=m)
+    far = None
+    if check and not (m.min() >= -_EXACT_STEPS and m.max() <= _EXACT_STEPS):  # or nan
+        far = np.flatnonzero(~(np.abs(m) <= _EXACT_STEPS))
+        far_phase = phase[far]
+        phase[far] = m[far] = 0.0
+    splits = scratch[1:4, :n]
+    np.multiply(m, _SPLIT, out=splits)
+    for split in splits:
+        phase -= split
+    r = phase
+    np.multiply(r, r, out=r2)
+    poly = scratch[5:7, :n]  # rows sin r and cos r - 1
+    np.multiply(r2, _TAYLOR[:, :1], out=poly)
+    poly -= _TAYLOR[:, 1:]
+    poly *= r2
+    poly[0] *= r
+    poly[0] += r
+    j = r2.view(np.int64)  # in r^2's row, now free
+    np.copyto(j, m, casting="unsafe")
+    np.bitwise_and(j, _TURN_STEPS - 1, out=j)
+    # (cT, sT) + (cT, sT) (cos r - 1) + (-sT, cT) sin r; j is in range, and
+    # numpy's "wrap" mode takes it fastest
+    t = scratch[2:4, :n]
+    np.take(_TABLE, j, axis=1, out=t, mode="wrap")
+    u = scratch[0:2, :n]
+    np.multiply(t[::-1], poly[0], out=u)
+    np.negative(u[0], out=u[0])
+    out = scratch[4:6, :n]
+    np.multiply(t, poly[1], out=out)
+    out += u
+    out += t
+    if far is not None:
+        out[:, far] = np.cos(far_phase), np.sin(far_phase)
+    return out
+
+
+def _correlation_block(coeffs, x, y, out=None):
     """Raw correlation |sum_n e^{j phase_n}|^2 / N^2 at the nodes (x, y): the value path.
 
-    float64 sin/cos on the unreduced phases, accumulated in float64; this
-    agrees with the per-point oracle, which reduces mod 2 pi, to ~1e-12
-    relative.  Every operation is elementwise, so a row block of the grid
-    and any gathered subset of its nodes get bit-identical values.  The
-    r = 0 node is nan.
+    Each element's float64 phase, unreduced, goes through _sincos and the
+    phasors are summed in float64 in element order; this agrees with the
+    per-point oracle, which reduces mod 2 pi, to ~1e-12 relative.  The nodes
+    are taken in chunks of at most _CHUNK, so every array lives in cache,
+    and a call of _sincos takes the phases of one element or, at fewer
+    nodes, of several, formed together, so that a few nodes do not cost N
+    rounds of calls.  Every
+    operation is elementwise, so a row block of the grid and any gathered
+    subset of its nodes get bit-identical values.  The r = 0 node is nan.
+    The values go to out, a C-contiguous array of the nodes' shape, if given.
     """
-    nodes = _Nodes(x, y)
-    trig = np.empty(nodes.r.shape)
-    acc_re = np.zeros(nodes.r.shape)
-    acc_im = np.zeros(nodes.r.shape)
+    x, y = np.broadcast_arrays(x, y)
+    raw = np.empty(x.shape) if out is None else out
+    n, chunks = coeffs[0].size, max(1, math.ceil(raw.size / _CHUNK))
+    width = max(1, math.ceil(raw.size / chunks))  # nodes per chunk
+    rows = min(n, _CHUNK // width)  # elements per _sincos call
+    groups = math.ceil(n / rows)
+    # each element's coefficients as a column, rows to a group; the last
+    # group is padded with zero elements, whose phasors are not summed
+    pad = np.zeros(groups * rows - n)
+    columns = tuple(np.concatenate([c, pad]).reshape(groups, rows, 1) for c in coeffs)
+    scratch = _sincos_scratch(rows * width)
+    acc_rows = np.empty((2, width))
+    k, c1, c2, ref = (float(np.max(np.abs(c))) for c in coeffs)
     with np.errstate(invalid="ignore"):
-        for phase in _element_phases(coeffs, nodes):
-            np.cos(phase, out=trig)
-            acc_re += trig
-            np.sin(phase, out=trig)
-            acc_im += trig
-    return _power(acc_re, acc_im, coeffs[0].size)
+        for i0 in range(0, raw.size, width):
+            nodes = _Nodes(x.flat[i0:i0 + width][None], y.flat[i0:i0 + width][None])
+            size = nodes.r.size
+            # |phase| <= |k| r + |c1| / r + |c2| + |ref| (inf at r = 0); below
+            # half the exact range, _sincos need not check it
+            bound = k * nodes.r.max() + c1 * nodes.inv_r.max() + c2 + ref
+            check = not bound < _EXACT_STEPS * math.pi / _TURN_STEPS
+            acc = acc_rows[:, :size]
+            acc.fill(0.0)
+            for n0, phase in zip(range(0, n, rows), _element_phases(columns, nodes)):
+                phasors = _sincos(phase.reshape(-1), scratch, check).reshape(2, rows, size)
+                for e in range(min(rows, n - n0)):
+                    acc += phasors[:, e]
+            raw.flat[i0:i0 + width] = _power(acc[0], acc[1], n)
+    return raw
 
 
 # The float32 kernel's error bound, in ulps of numpy's float32 sin and cos as
@@ -243,11 +404,13 @@ def _float32_block(coeffs, nodes: _Nodes):
     their |terms| in float64, which adds 4 eps64 mean_n T64_n; delta is the
     sum, per node.  Since |S| <= N, |raw32 - raw64| <= 2 delta + delta^2, to
     which float64 trig, accumulation and squaring in both paths add
-    8 (N + 4) eps64.  bound is that sum: ~3e-5 (N = 16) to ~1.3e-4 (N = 64)
-    over most of the default grid, and larger next to the origin, where
-    c1 / r reaches thousands of rad.  The largest error measured on the
-    default grid's extent is 1-4% of it.  _mask_block recomputes within
-    _SAFETY = 2 times it.  The r = 0 node gets nan.
+    8 (N + 4) eps64; that allows the value path's sin and cos 4 eps64 each,
+    and _sincos keeps them within eps64/2 + 2^-60 of exact.  bound is that
+    sum: ~3e-5 (N = 16) to ~1.3e-4 (N = 64) over most of the default grid,
+    and larger next to the origin, where c1 / r reaches thousands of rad.
+    The largest error measured on the default grid's extent is 1-4% of it.
+    _mask_block recomputes within _SAFETY = 2 times it.  The r = 0 node gets
+    nan.
     """
     k, c1, c2, ref = coeffs
     shifted = (k - 0.5 * (k.min() + k.max()), c1, c2, ref - 0.5 * (ref.min() + ref.max()))
@@ -292,8 +455,9 @@ def _mask_block(coeffs, x, y, cut, decide, reach=None):
     eps64, the term _float32_block's bound allows for float64 trig,
     accumulation and squaring, and it bounds every raw value a detected
     node can have, with u = eps64 / 2:
-      - The float64 value path sums N phasors whose float64 sin and cos are
-        within 4 ulps, so each has modulus <= 1 + 4 sqrt(2) eps64, and
+      - The float64 value path sums N phasors whose sin and cos are within
+        4 eps64 of exact (_sincos keeps them within eps64/2 + 2^-60), so
+        each has modulus <= 1 + 4 sqrt(2) eps64, and
         recursive summation adds gamma_(N-1) N.  So |S| <= N (1 + (6 +
         N / 2) eps64), and squaring, adding and dividing by N^2 round three
         times: raw <= 1 + (N + 14) eps64.
@@ -394,7 +558,7 @@ def evaluate_grid(
     values = np.empty((spec.n_y, spec.n_x))
 
     def fill(i0, i1):
-        values[i0:i1] = _correlation_block(coeffs, xs[None, :], ys[i0:i1, None])
+        _correlation_block(coeffs, xs[None, :], ys[i0:i1, None], out=values[i0:i1])
 
     _run_row_blocks(range(spec.n_y), n_threads, fill)
     if bob_cell is not None:
@@ -548,24 +712,50 @@ def noncovert_region(
     return _region_result(spec, mask)
 
 
+def _sparse_lattice(spec: GridSpec):
+    """x (a row) and y (a column) of spec's nodes at geometrically spaced indices.
+
+    The indices run from the second to the last, so the lattice's nodes run
+    from the one next to the grid's first corner out to its far corner.
+    """
+
+    def lattice(values):
+        return values[np.unique(np.geomspace(1, values.size - 1, 48).astype(int))]
+
+    return lattice(spec.xs())[None, :], lattice(spec.ys())[:, None]
+
+
 def float32_error(g: ArrayGeometry, plan: FrequencyPlan, bob: PolarPoint, spec: GridSpec):
     """The largest |raw32 - raw64| / bound over a sparse lattice of spec's nodes.
 
     The bound rests on numpy's float32 sin/cos being accurate to _TRIG_ULPS
     ulps over the phases noncovert_region forms; this measures whether the
-    installed numpy keeps it, so the result must not exceed 1.  The
-    lattice's rows and columns are spec's at geometrically spaced indices
-    from the second to the last, so its nodes run from the one next to the
-    grid's first corner out to its far corner.  It is evaluated as one block.
+    installed numpy keeps it, so the result must not exceed 1.  The lattice
+    (_sparse_lattice) is evaluated as one block.
     """
     coeffs = _phase_coefficients(g, plan, bob)
-
-    def lattice(values):
-        return values[np.unique(np.geomspace(1, values.size - 1, 48).astype(int))]
-
-    x, y = lattice(spec.xs())[None, :], lattice(spec.ys())[:, None]
+    x, y = _sparse_lattice(spec)
     raw32, bound = _float32_block(coeffs, _Nodes(x, y))
     return float(np.nanmax(np.abs(raw32 - _correlation_block(coeffs, x, y)) / bound))
+
+
+def sincos_error(g: ArrayGeometry, plan: FrequencyPlan, bob: PolarPoint, spec: GridSpec):
+    """The largest |_sincos - libm| / eps64 over every phase of float32_error's lattice.
+
+    _sincos derives its eps64 bound from numpy's float64 arithmetic and
+    libm's sin and cos being within 1 ulp; this measures whether the
+    installed platform keeps it, so the result must not exceed 1.
+    """
+    x, y = _sparse_lattice(spec)
+    with np.errstate(invalid="ignore"):
+        phases = np.array([p.copy() for p in _element_phases(
+            _phase_coefficients(g, plan, bob), _Nodes(x, y))]).reshape(-1)
+        libm = np.cos(phases), np.sin(phases)
+        fast = _sincos(phases, _sincos_scratch(phases.size))
+    if not all(np.array_equal(np.isnan(a), np.isnan(b)) for a, b in zip(fast, libm)):
+        return math.inf
+    worst = max(float(np.nanmax(np.abs(a - b), initial=0.0)) for a, b in zip(fast, libm))
+    return worst / float(np.finfo(float).eps)
 
 
 def sweep(

@@ -91,6 +91,14 @@ def test_single_offset_changes_single_entry():
     assert list(diff) == [10]
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_plan_rejects_non_finite_offsets(bad):
+    offs = [0.0] * G.n_antennas
+    offs[10] = bad
+    with pytest.raises(DomainError, match="finite"):
+        FrequencyPlan(tuple(offs), "OptimizedFDA")
+
+
 def test_channel_vector_stacks_element_channels():
     plan = random_fda_plan(G, 1e6, 9)
     h = channel_vector(G, plan, BOB)

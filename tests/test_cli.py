@@ -401,6 +401,36 @@ def test_unreadable_or_malformed_plan_is_a_config_error(tmp_path, capsys, text):
     assert not os.path.exists(out) or not os.listdir(out)
 
 
+@pytest.mark.parametrize("offset", ["NaN", "Infinity"])
+def test_non_finite_plan_offset_is_a_config_error(tmp_path, capsys, offset):
+    # json reads NaN and Infinity; a plan with them must not reach the map
+    path = tmp_path / "plan.json"
+    path.write_text('{"offsets_hz": [%s%s]}' % ("0.0, " * 63, offset))
+    out = str(tmp_path / "out")
+    assert run_cli(["region", "--out", out, "--plan", str(path)] + FAST) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"plan file {path}" in err
+    assert "finite" in err
+    assert not os.path.exists(out)
+
+
+def test_region_plan_file_names_outputs_by_its_scheme(tmp_path):
+    sets = FAST + ["--set", "sweep.schemes=RandomFDA", "--set", "plan.seed=3"]
+    plan = cli._plan_for(load_config(None, sets[1::2]), "RandomFDA")
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"offsets_hz": list(plan.offsets_hz), "scheme": "RandomFDA",
+                                "seed": 3}))
+    from_file, from_config = str(tmp_path / "file"), str(tmp_path / "config")
+    assert run_cli(["region", "--out", from_file, "--plan", str(path)] + sets) == 0
+    assert run_cli(["region", "--out", from_config] + sets) == 0
+    names = sorted(os.listdir(from_file))
+    assert names == ["region_RandomFDA.csv", "region_summary.csv"]
+    for name in names:
+        assert read_bytes(os.path.join(from_file, name)) == read_bytes(
+            os.path.join(from_config, name)
+        )
+
+
 # ------------------------------------------------ grid rows written in blocks
 
 FLOAT_SPECIALS = [

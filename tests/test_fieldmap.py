@@ -631,3 +631,119 @@ def test_monte_carlo_weighs_every_cell_as_area_fraction_does(monkeypatch):
     f = result.area_fraction
     detected = 1.0 - result.n_covert / n
     assert abs(detected - f) <= 5.0 * math.sqrt(f * (1.0 - f) / n)
+
+
+# ------------------------------------------- the value path's table-driven sin/cos
+
+EPS64 = float(np.finfo(float).eps)
+STEP = 2.0 * math.pi / fieldmap._TURN_STEPS  # the table's spacing, h
+EXACT = fieldmap._EXACT_STEPS * STEP  # ~1.3e7 rad: the reduction is exact below
+SCHEMES = ("LPA", "LinearFDA", "RandomFDA", "OptimizedFDA")
+
+
+def table_sincos(phases):
+    phase = np.array(phases, dtype=float).reshape(-1)
+    with np.errstate(invalid="ignore"):
+        return fieldmap._sincos(phase, fieldmap._sincos_scratch(phase.size))
+
+
+def libm_sincos(phases):
+    with np.errstate(invalid="ignore"):
+        return np.cos(phases), np.sin(phases)
+
+
+def far_corner_phases():
+    """Every element's phase at the default grid's far corner, for each scheme."""
+    x, y = np.array([40.0]), np.array([40.0])
+    phases = []
+    for scheme in SCHEMES:
+        coeffs = fieldmap._phase_coefficients(G, build_plan(scheme, G, BOB, 1e6, seed=1), BOB)
+        phases += [p.copy() for p in fieldmap._element_phases(coeffs, fieldmap._Nodes(x, y))]
+    return np.concatenate(phases)
+
+
+def test_table_sincos_is_within_one_ulp_of_libm():
+    rng = np.random.default_rng(5)
+    steps = np.array([1, 2, 3, 511, 512, 1023, 1024, 2048, 3071, 4095, 4096, 4097,
+                      10**6 + 7, 2**32 + 1, 2**33 - 1], dtype=float)
+    on_steps = np.concatenate([steps, -steps, steps + 0.5]) * STEP
+    phases = np.concatenate([
+        [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e-20, -1e-12, 1e-8],
+        on_steps, np.nextafter(on_steps, np.inf), np.nextafter(on_steps, -np.inf),
+        far_corner_phases(),
+        [EXACT, -EXACT, np.nextafter(EXACT, 0.0), np.nextafter(EXACT, np.inf)],
+        rng.uniform(-5000.0, 5000.0, 100_000), rng.uniform(-EXACT, EXACT, 100_000),
+    ])
+    for table, libm in zip(table_sincos(phases), libm_sincos(phases)):
+        assert np.max(np.abs(table - libm)) <= EPS64
+
+
+def test_table_sincos_beyond_the_exact_reduction_and_nan_is_libm():
+    beyond = np.array([1.5e7, -1.5e7, 1e10, 3.3e12, 1e15, -1e15, 1e300, -1e300,
+                       np.nextafter(EXACT + STEP, np.inf), math.nan, math.inf, -math.inf])
+    phases = np.concatenate([beyond, [0.25, -3000.0]])  # one call takes both kinds
+    table, libm = table_sincos(phases), libm_sincos(phases)
+    for t, l in zip(table, libm):
+        np.testing.assert_array_equal(t[:beyond.size], l[:beyond.size])  # nan where libm's
+        assert np.max(np.abs(t[beyond.size:] - l[beyond.size:])) <= EPS64
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_value_path_matches_pointwise_oracle_at_far_corner_and_origin(scheme):
+    plan = build_plan(scheme, G, BOB, 1e6, seed=1)
+    fmap = evaluate_grid(G, plan, BOB, FAR)
+    ref = fmap.metadata["bob_cell_raw_correlation"]
+    beta_b = channel_gain_amplitude(G, BOB.r_m)
+    last = FAR.n_x - 1
+    # the far corner, the cells next to the origin, the other corners, the focus
+    for iy, ix in [(last, last), (0, 1), (1, 1), (last, 1), (0, last), (14, 14)]:
+        x, y = FAR.xs()[ix], FAR.ys()[iy]
+        r = math.hypot(x, y)
+        corr = beampattern_at(G, plan, BOB, PolarPoint(r, math.atan2(y, x))) / (
+            channel_gain_amplitude(G, r) ** 2 * beta_b**2
+        )
+        assert fmap.values[iy, ix] * ref == pytest.approx(corr, rel=1e-11)
+
+
+def libm_correlation_block(coeffs, x, y):
+    """The value path with libm's sin and cos, its loop before the table kernel."""
+    nodes = fieldmap._Nodes(x, y)
+    acc_re, acc_im = np.zeros(nodes.r.shape), np.zeros(nodes.r.shape)
+    with np.errstate(invalid="ignore"):
+        for phase in fieldmap._element_phases(coeffs, nodes):
+            acc_re += np.cos(phase)
+            acc_im += np.sin(phase)
+    return fieldmap._power(acc_re, acc_im, coeffs[0].size)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_value_path_drifts_from_libm_by_at_most_the_stated_delta(scheme):
+    # 5.6e-16 is the largest change the table kernel made to the four
+    # default heatmaps' values
+    fast = GridSpec(0.0, 12.0, 0.0, 12.0, 0.25)
+    plan = build_plan(scheme, G, BOB, 1e6, seed=0)
+    coeffs = fieldmap._phase_coefficients(G, plan, BOB)
+    xs, ys = fast.xs()[None, :], fast.ys()[:, None]
+    fmap = evaluate_grid(G, plan, BOB, fast)
+    iy, ix = fmap.metadata["bob_cell"]
+    libm = libm_correlation_block(coeffs, xs, ys)
+    libm /= libm[iy, ix]
+    np.testing.assert_array_equal(np.isnan(fmap.values), np.isnan(libm))
+    assert np.nanmax(np.abs(fmap.values - libm)) <= 2.5 * EPS64
+
+
+@pytest.mark.parametrize("size", [1, 3, 1000, 7000, 16385])
+def test_value_path_is_elementwise_across_chunks(size):
+    # 40401 nodes take three chunks; a few nodes take many elements per call,
+    # and 13 elements leave a last, smaller group
+    g = ArrayGeometry(n_antennas=13, carrier_hz=3e9)
+    coeffs = fieldmap._phase_coefficients(g, random_fda_plan(g, 1e6, 2), BOB)
+    spec = GridSpec(0.0, 40.0, 0.0, 40.0, 0.2)
+    xs, ys = spec.xs(), spec.ys()
+    full = fieldmap._correlation_block(coeffs, xs[None, :], ys[:, None])
+    rng = np.random.default_rng(size)
+    iy, ix = rng.integers(0, spec.n_y, size), rng.integers(0, spec.n_x, size)
+    iy[0], ix[0] = 0, 0  # the origin, nan
+    iy[-1], ix[-1] = spec.n_y - 1, spec.n_x - 1
+    np.testing.assert_array_equal(fieldmap._correlation_block(coeffs, xs[ix], ys[iy]),
+                                  full[iy, ix])
