@@ -215,15 +215,6 @@ def _element_phases(coeffs, nodes: _Nodes):
         yield phase
 
 
-def _reduce_phase(phase, turns):
-    """phase - 2 pi rint(phase / 2 pi), in place, so |phase| <~ pi; turns is scratch space."""
-    np.multiply(phase, 1.0 / TWO_PI, out=turns)
-    np.rint(turns, out=turns)
-    turns *= TWO_PI
-    phase -= turns
-    return phase
-
-
 def _beta_sq(wavelength_m, r):
     """Free-space power gain beta^2(r) = (lambda / (4 pi r))^2 of the nodes at radii r."""
     return (wavelength_m / (4.0 * math.pi * r)) ** 2

@@ -43,7 +43,7 @@ from .fieldmap import (
     sincos_error,
     sweep,
 )
-from .geometry import DomainError
+from .geometry import ArrayGeometry, DomainError
 from .schemes import (
     RegionSpec,
     box_half_width,
@@ -163,15 +163,19 @@ def _plan_for(cfg: ExperimentConfig, scheme: str, seed=None) -> FrequencyPlan:
     )
 
 
-def _load_plan_file(path: str) -> FrequencyPlan:
+def _load_plan_file(path: str, g: ArrayGeometry) -> FrequencyPlan:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        return FrequencyPlan(
+        if not isinstance(data["offsets_hz"], list):
+            raise TypeError("offsets_hz must be a list")
+        plan = FrequencyPlan(
             offsets_hz=tuple(data["offsets_hz"]),
             scheme=data.get("scheme", SCHEME_OPTIMIZED),
             seed=data.get("seed"),
         )
+        plan.check_length(g)
+        return plan
     except KeyError as exc:
         raise ConfigError(f"plan file {path} has no key {exc}") from exc
     except (OSError, ValueError, TypeError) as exc:
@@ -202,7 +206,7 @@ def cmd_region(cfg: ExperimentConfig, out_dir: str, plan_file: Optional[str]) ->
     written = []
     summary = []
     if plan_file:
-        plan = _load_plan_file(plan_file)
+        plan = _load_plan_file(plan_file, cfg.geometry())
         plans = [(plan.scheme, plan)]
     else:
         plans = [(s, _plan_for(cfg, s)) for s in cfg.sweep_schemes]

@@ -17,11 +17,8 @@ Two paths form phases with channel._element_phases, as the region search does:
   and sums their float32 sin/cos in float32 (_float32_block), then
   recomputes in float64 the cells within the derived error bound of the
   threshold, so its mask equals the value path's cell for cell.  region,
-  sweep and monte_carlo_rate use it.  In kl mode a cell is non-covert only
-  if its raw value |S|^2 / N^2, never above 1, reaches q N / beta^2(r),
-  which grows as r^2; so no cell beyond the reach radius
-  r* = lambda / (4 pi) sqrt(1 / (q N)), 21.5 m at the defaults, is
-  evaluated (_mask_block).
+  sweep and monte_carlo_rate use it.  In kl mode it evaluates no cell
+  beyond the reach radius r*, derived in noncovert_region.
 """
 
 from __future__ import annotations
@@ -409,8 +406,8 @@ def _float32_block(coeffs, nodes: _Nodes):
     sum: ~3e-5 (N = 16) to ~1.3e-4 (N = 64) over most of the default grid,
     and larger next to the origin, where c1 / r reaches thousands of rad.
     The largest error measured on the default grid's extent is 1-4% of it.
-    _mask_block recomputes within _SAFETY = 2 times it.  The r = 0 node gets
-    nan.
+    noncovert_region recomputes within _SAFETY = 2 times it.  The r = 0 node
+    gets nan.
     """
     k, c1, c2, ref = coeffs
     shifted = (k - 0.5 * (k.min() + k.max()), c1, c2, ref - 0.5 * (ref.min() + ref.max()))
@@ -437,53 +434,6 @@ def _float32_block(coeffs, nodes: _Nodes):
         bound = delta * (delta + 2.0)
         bound += 8.0 * (k.size + 4) * eps64
     return _power(acc_re.astype(float), acc_im.astype(float), k.size), bound
-
-
-def _mask_block(coeffs, x, y, cut, decide, reach=None):
-    """Non-covert mask at the nodes (x, y): the certified mask path.
-
-    cut(r) is the threshold in raw units at radius r.  A node whose float32
-    raw value lies more than _SAFETY times the _float32_block bound from cut
-    is on the side the float64 value would put it; decide(x, y) settles the
-    others from their float64 values.  No float64 value array outlives the
-    block.
-
-    With a reach (kl mode), a node whose cut exceeds reach is covert without
-    evaluation; only the others are gathered, evaluated as above and
-    scattered back.  Their r, 1/r and sin(theta) are elementwise, so their
-    phases are bit-identical to the whole block's.  reach is 1 + 8 (N + 4)
-    eps64, the term _float32_block's bound allows for float64 trig,
-    accumulation and squaring, and it bounds every raw value a detected
-    node can have, with u = eps64 / 2:
-      - The float64 value path sums N phasors whose sin and cos are within
-        4 eps64 of exact (_sincos keeps them within eps64/2 + 2^-60), so
-        each has modulus <= 1 + 4 sqrt(2) eps64, and
-        recursive summation adds gamma_(N-1) N.  So |S| <= N (1 + (6 +
-        N / 2) eps64), and squaring, adding and dividing by N^2 round three
-        times: raw <= 1 + (N + 14) eps64.
-      - extract_noncovert's predicate value * ref * beta^2 / N >= q, with
-        value = raw / ref, rounds four times, and cut = q N / beta^2 twice,
-        with the same beta^2.  So a detected node has cut <= raw (1 + u)^6
-        <= 1 + (N + 18) eps64 < reach.
-    """
-    if reach is not None:
-        x, y = np.broadcast_arrays(x, y)
-        with np.errstate(divide="ignore"):
-            live = np.nonzero(cut(np.hypot(x, y)) <= reach)
-        mask = np.zeros(x.shape, dtype=bool)
-        mask[live] = _mask_block(coeffs, x[live], y[live], cut, decide)
-        return mask
-    nodes = _Nodes(x, y)
-    raw, bound = _float32_block(coeffs, nodes)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        threshold = cut(nodes.r)
-        mask = raw >= threshold
-        raw -= threshold
-        near = np.nonzero(np.abs(raw, out=raw) <= _SAFETY * bound)
-    if near[0].size:
-        shape = nodes.r.shape
-        mask[near] = decide(np.broadcast_to(x, shape)[near], np.broadcast_to(y, shape)[near])
-    return mask
 
 
 def _run_row_blocks(rows: range, n_threads: Optional[int], fill) -> None:
@@ -654,24 +604,40 @@ def noncovert_region(
 
     Areas, sweeps and rates need each cell's side of the threshold, not
     its value.  Per row block, every cell is compared in raw units
-    (|S|^2 / N^2) with the threshold: t times the focus cell's raw value
+    (|S|^2 / N^2) with the cut: t times the focus cell's raw value
     (fraction mode) or q N / beta^2(r) (kl mode).  The raw value comes from
-    float32 phases, sin/cos and sums, and every cell within the derived
-    error bound of the threshold (see _float32_block), 0.01-0.05% of the
-    cells on the default and 0.02 m grids, is recomputed in float64 and put
-    through extract_noncovert's own predicate.  The focus cell's normalizer
-    is the float64 kernel's value.  So the mask equals the value path's cell
-    for cell, and only a bool mask is ever allocated for the whole grid.
+    float32 phases, sin/cos and sums (_float32_block).  A cell more than
+    _SAFETY times its error bound from the cut is on the side the float64
+    value would put it; the others, 0.01-0.05% of the cells on the default
+    and 0.02 m grids, are recomputed in float64 and put through
+    extract_noncovert's own predicate.  The focus cell's normalizer is the
+    float64 kernel's value.  So the mask equals the value path's cell for
+    cell, and only a bool mask is ever allocated for the whole grid.
     Warnings and errors are evaluate_grid's and extract_noncovert's.
 
-    In kl mode no cell beyond the reach radius r* = lambda / (4 pi)
-    sqrt(1 / (q N)) is evaluated: 21.5 m at the defaults, with 23% of the
-    default grid's cells within it.  There the cut exceeds 1 plus a rounding
-    margin, the most that the float64 value path's raw value and predicate
-    can reach (derived in _mask_block), so the value path calls such a
-    cell covert too.  Rows whose every node lies beyond r* form no nodes at
-    all.  The fractional cut is at most the focus cell's raw value, so
-    fraction mode evaluates every cell and makes no such test.
+    The fractional cut is at most the focus cell's raw value, so fraction
+    mode evaluates every cell.  In kl mode the cut grows as r^2, and no
+    cell beyond the reach radius r* = lambda / (4 pi) sqrt(1 / (q N)),
+    21.5 m at the defaults, can be detected: there the cut exceeds
+    reach = 1 + 8 (N + 4) eps64, the term _float32_block's bound allows for
+    float64 trig, accumulation and squaring, and reach bounds every raw
+    value a detected cell can have, with u = eps64 / 2:
+      - The float64 value path sums N phasors whose sin and cos are within
+        4 eps64 of exact (_sincos keeps them within eps64/2 + 2^-60), so
+        each has modulus <= 1 + 4 sqrt(2) eps64, and recursive summation
+        adds gamma_(N-1) N.  So |S| <= N (1 + (6 + N / 2) eps64), and
+        squaring, adding and dividing by N^2 round three times:
+        raw <= 1 + (N + 14) eps64.
+      - extract_noncovert's predicate value * ref * beta^2 / N >= q, with
+        value = raw / ref, rounds four times, and cut = q N / beta^2 twice,
+        with the same beta^2.  So a detected cell has cut <= raw (1 + u)^6
+        <= 1 + (N + 18) eps64 < reach.
+    A node's r is at least max(|x|, |y|) (hypot rounds faithfully), and
+    cut's float64 operations are monotone in r.  So kl mode evaluates the
+    rows from the first to the last y_i with cut(max(|y_i|, min |x|)) <=
+    reach and, per row block, the columns from the first to the last x_j
+    with cut(max(|x_j|, min |y| of the block)) <= reach.  Every operation
+    on a node is elementwise, so its values do not depend on its block.
     """
     coeffs = _phase_coefficients(g, plan, bob)
     bob_cell, normalizer = _focus_normalizer(coeffs, bob, spec)
@@ -679,36 +645,43 @@ def noncovert_region(
     _check_threshold(threshold_mode, threshold_value, bob_cell)
     n, lam = g.n_antennas, g.wavelength_m
     xs, ys = spec.xs(), spec.ys()
-    rows, reach = range(spec.n_y), None
     if threshold_mode == "fraction":
         raw_cut = threshold_value * normalizer
 
         def cut(r):
             return raw_cut
+
+        def span(v, other):
+            return 0, v.size
     else:
+        reach = 1.0 + 8.0 * (n + 4) * float(np.finfo(float).eps)
 
         def cut(r):
             return threshold_value * n / _beta_sq(lam, r)
 
-        reach = 1.0 + 8.0 * (n + 4) * float(np.finfo(float).eps)
-        # row i's nodes lie at r >= max(|y_i|, min |x|) (hypot rounds
-        # faithfully), and cut's float64 operations are monotone in r
-        with np.errstate(divide="ignore"):
-            live = np.flatnonzero(cut(np.maximum(np.abs(ys), np.abs(xs).min())) <= reach)
-        rows = range(live[0], live[-1] + 1) if live.size else range(0)
-
-    def decide(x, y):
-        values = _correlation_block(coeffs, x, y) / normalizer
-        return _non_covert(
-            values, threshold_mode, threshold_value, normalizer, lam, n, np.hypot(x, y)
-        )
+        def span(v, other):
+            with np.errstate(divide="ignore"):
+                live = np.flatnonzero(cut(np.maximum(np.abs(v), np.abs(other).min())) <= reach)
+            return (live[0], live[-1] + 1) if live.size else (0, 0)
 
     mask = np.zeros((spec.n_y, spec.n_x), dtype=bool)
 
     def fill(i0, i1):
-        mask[i0:i1] = _mask_block(coeffs, xs[None, :], ys[i0:i1, None], cut, decide, reach)
+        cols = slice(*span(xs, ys[i0:i1]))
+        nodes = _Nodes(xs[None, cols], ys[i0:i1, None])
+        raw, bound = _float32_block(coeffs, nodes)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            threshold = cut(nodes.r)
+            block = raw >= threshold
+            raw -= threshold
+            near = np.nonzero(np.abs(raw, out=raw) <= _SAFETY * bound)
+        values = _correlation_block(coeffs, xs[cols][near[1]], ys[i0:i1][near[0]]) / normalizer
+        block[near] = _non_covert(
+            values, threshold_mode, threshold_value, normalizer, lam, n, nodes.r[near]
+        )
+        mask[i0:i1, cols] = block
 
-    _run_row_blocks(rows, n_threads, fill)
+    _run_row_blocks(range(*span(ys, xs)), n_threads, fill)
     return _region_result(spec, mask)
 
 

@@ -13,12 +13,12 @@ from .channel import (
     SCHEME_LPA,
     SCHEME_OPTIMIZED,
     SCHEME_RANDOM,
+    TWO_PI,
     FrequencyPlan,
     _beta_sq,
     _element_phases,
     _Nodes,
     _phase_coefficients,
-    _reduce_phase,
 )
 from .ellipse import anchor_starts, objective_and_gradient, optimize_offsets
 from .geometry import (
@@ -162,7 +162,12 @@ class _RegionSample:
         coeffs = _phase_coefficients(g, lpa_plan(g), bob)
         for n, phase in enumerate(_element_phases(coeffs, _Nodes(x, y))):
             self.slope[:, n] = phase / g.carrier_hz
-            self.carrier[:, n] = _reduce_phase(phase, turns)
+            # phase - 2 pi rint(phase / 2 pi), so |phase| <~ pi
+            np.multiply(phase, 1.0 / TWO_PI, out=turns)
+            np.rint(turns, out=turns)
+            turns *= TWO_PI
+            phase -= turns
+            self.carrier[:, n] = phase
         self.ln_scale = ln_scale
         self.normalized = normalized
 

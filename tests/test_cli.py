@@ -1,5 +1,6 @@
 """CLI: config parsing, CSV emission, subcommands, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -388,7 +389,11 @@ def test_plan_outside_region_is_a_config_error(tmp_path, capsys, sub):
 
 
 @pytest.mark.parametrize(
-    "text", [None, "{not json", '{"f_delta_hz": 1e6}', "[1, 2]", '{"offsets_hz": 5}']
+    "text",
+    [
+        None, "{not json", '{"f_delta_hz": 1e6}', "[1, 2]", '{"offsets_hz": 5}',
+        '{"offsets_hz": [0.0, 0.0]}', '{"offsets_hz": "00"}',
+    ],
 )
 def test_unreadable_or_malformed_plan_is_a_config_error(tmp_path, capsys, text):
     path = tmp_path / "plan.json"
@@ -534,6 +539,44 @@ def test_region_bytes_do_not_depend_on_fdacovert_threads(tmp_path, monkeypatch):
         outputs[env] = {name: read_bytes(out / name) for name in sorted(os.listdir(out))}
     assert len(outputs["1"]) == 5  # four masks and the summary
     assert outputs["1"] == outputs["3"] == outputs["two"]
+
+
+# SHA-256 of every file region and sweep-fdelta write on the FAST grid, with
+# the schemes whose outputs rest on numpy's float64 arithmetic and the
+# value path's own sin/cos alone (OptimizedFDA's search uses float32 SIMD
+# trig, which may differ between CPUs).  A change that moves one of them
+# changes the program's outputs and must say so.
+GOLDEN_SHA256 = {
+    "fraction": {
+        "region_LPA.csv": "946af7c96f6f6ecd704c12452ce6fd4a448596f9a80d76fd953c2b002f81a144",
+        "region_LinearFDA.csv": "48834aac788b15776972627031585605bb578e62c422a6a26cc3023770b9e755",
+        "region_RandomFDA.csv": "61a9f91719b5d63a0cad74ea6d9c7db89161bdb6f75678ec5f8b4de339c67b83",
+        "region_summary.csv": "d8a3554fd0bc0b9f4c854d33be59aea94eb16c977dcc152e0ecfc965c0f870e4",
+        "sweep_fdelta.csv": "e82bf65175159af5d78e9dbe8dccb125ea1106a0554481307344b15304702612",
+    },
+    "kl": {
+        "region_LPA.csv": "3254d1261aff41015f340eb6373f25f9a8e21ae840d05d48e40dc64bdb1151aa",
+        "region_LinearFDA.csv": "b7714938989da7f66456ac433f173fd24f5e0aacf6c6c549ee9f36ac298e7752",
+        "region_RandomFDA.csv": "ed7c512bc32baf8c254948c607bd666d24a13586257633d52722290b52708774",
+        "region_summary.csv": "25f17d2904ed6f7d496fa6f6ac3877d4687be2c51d678c4e2b2d75e0d0e5287e",
+        "sweep_fdelta.csv": "759f599f3a92412af8a55aa85fac3f99b37af333dcb7973913284b7a419d11d2",
+    },
+}
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_SHA256))
+def test_region_and_sweep_outputs_keep_their_golden_bytes(tmp_path, mode):
+    out = tmp_path / "out"
+    args = FAST + [
+        "--set", "sweep.schemes=LPA,LinearFDA,RandomFDA", "--set", f"threshold.mode={mode}"
+    ]
+    for sub in ("region", "sweep-fdelta"):
+        assert run_cli([sub, "--out", str(out)] + args) == 0
+    digests = {
+        name: hashlib.sha256(read_bytes(out / name)).hexdigest()
+        for name in sorted(os.listdir(out))
+    }
+    assert digests == GOLDEN_SHA256[mode]
 
 
 # ------------------------------------------------------- runtime error paths

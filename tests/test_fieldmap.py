@@ -583,6 +583,41 @@ def test_kl_mask_path_evaluates_only_nodes_within_reach(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "extent, focus",
+    [
+        # wholly beyond r* = 21.5 m: no node can be detected, none is evaluated
+        ((25.0, 40.0, 25.0, 40.0), (32.0, 32.0)),
+        # across both axes, so |x| and |y| fall to 0 and rise again along
+        # the rows and columns, and beyond r* on every side
+        ((-30.0, 28.0, -26.0, 32.0), (5.0, 5.0)),
+    ],
+)
+def test_kl_column_span_matches_the_value_path(monkeypatch, extent, focus):
+    evaluated = []
+    float32_block = fieldmap._float32_block
+
+    def counting(coeffs, nodes):
+        evaluated.append(nodes.r.size)
+        return float32_block(coeffs, nodes)
+
+    monkeypatch.setattr(fieldmap, "_float32_block", counting)
+    grid = GridSpec(*extent, 0.5)
+    bob = PolarPoint(math.hypot(*focus), math.atan2(focus[1], focus[0]))
+    plan = random_fda_plan(G, 1e6, 1)
+    fmap = evaluate_grid(G, plan, bob, grid)
+    for mode, value in (("kl", KL_Q), ("fraction", 0.1)):
+        evaluated.clear()
+        region = noncovert_region(G, plan, bob, grid, mode, value)
+        assert_same_region(extract_noncovert(fmap, mode, value), region)
+        if mode == "fraction":
+            assert sum(evaluated) == grid.n_cells
+        elif extent[0] > 0:
+            assert region.n_noncovert == 0 and sum(evaluated) == 0
+        else:
+            assert region.n_noncovert > 0 and sum(evaluated) < 0.7 * grid.n_cells
+
+
+@pytest.mark.parametrize(
     "parameter, values", [("n_antennas", (16, 64)), ("f_delta", (0.5e6, 2e6))]
 )
 def test_kl_sweeps_match_the_value_path(parameter, values):
