@@ -4,6 +4,10 @@ Subcommands: heatmap, region, sweep-n, sweep-fdelta, rate, optimize, selftest.
 Every output file embeds a metadata header (config hash, seeds, version) and
 is written via a temp file + rename, and a failed run removes the output
 directory if it made it and it is still empty, so it leaves nothing behind.
+Values are written as fmt writes them.  The grid CSVs of heatmap and region,
+one 'x,y,value' line per cell, are written a block of rows at a time, each
+block's text formed in whole-array numpy calls by _csvtext.grid_text, byte
+for byte what fmt writes per cell.
 Exit codes: 0 success, 1 config error, 2 runtime error, 3 selftest failure.
 """
 
@@ -11,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -22,6 +25,7 @@ from typing import Iterable, List, Optional, Sequence
 import numpy as np
 
 from . import __version__
+from ._csvtext import fmt, grid_blocks
 from .channel import (
     SCHEME_OPTIMIZED,
     SCHEME_RANDOM,
@@ -62,23 +66,6 @@ SUBCOMMANDS = (
     "optimize",
     "selftest",
 )
-
-
-def fmt(value) -> str:
-    """Shortest text that parses back to exactly the same value."""
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if math.isnan(v):
-            return "nan"
-        s = repr(v)
-        return s[:-2] if s.endswith(".0") else s
-    return str(value)
 
 
 @contextmanager
@@ -124,26 +111,9 @@ def _base_metadata(cfg: ExperimentConfig, subcommand: str) -> dict:
     return meta
 
 
-def _grid_row_text(x_text: Sequence[str], y_text: str, row: np.ndarray) -> str:
-    """Lines 'x,y,value' of one grid row, each value exactly as fmt writes it.
-
-    The row is formatted in one repr of its list, which joins the repr of
-    each value with ', '.  With one more ', ' appended, every value ends at
-    a separator, so '.0, ' marks exactly the trailing '.0' fmt strips from
-    a float; zip drops the empty piece after the last separator.  A bool
-    row is read as the integers 0/1, which is how fmt writes a bool.
-    """
-    if row.dtype == np.bool_:
-        row = row.view(np.uint8)
-    values = (repr(row.tolist())[1:-1] + ", ").replace(".0, ", ", ").split(", ")
-    return "".join([f"{x},{y_text},{v}\n" for x, v in zip(x_text, values)])
-
-
 def _grid_rows(spec: GridSpec, column: np.ndarray):
-    """One text block per grid row of column: 'x,y,value' lines, y-outer row-major."""
-    x_text = [fmt(x) for x in spec.xs()]
-    for y, row in zip(spec.ys(), column):
-        yield _grid_row_text(x_text, fmt(y), row)
+    """Text of column's cells, 'x,y,value' lines y-outer row-major, a block of rows at a time."""
+    return grid_blocks([fmt(x) for x in spec.xs()], [fmt(y) for y in spec.ys()], column)
 
 
 def _region(cfg: ExperimentConfig) -> RegionSpec:

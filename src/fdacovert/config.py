@@ -211,6 +211,15 @@ def build_config(
     for s in cfg.sweep_schemes:
         if s not in SCHEMES:
             raise ConfigError(f"{where['sweep_schemes']}: unknown scheme {s!r}")
+    if len(set(cfg.sweep_schemes)) != len(cfg.sweep_schemes) or not cfg.sweep_schemes:
+        raise ConfigError(
+            f"{where['sweep_schemes']}: sweep.schemes must name each scheme once, "
+            f"got {','.join(cfg.sweep_schemes)!r}"
+        )
+    if cfg.mc_n_samples < 1:
+        raise ConfigError(
+            f"{where['mc_n_samples']}: mc.n_samples must be >= 1, got {cfg.mc_n_samples}"
+        )
     if cfg.threshold_mode not in ("fraction", "kl"):
         raise ConfigError(f"{where['threshold_mode']}: mode must be 'fraction' or 'kl'")
     if cfg.threshold_mode == "fraction" and not 0.0 < cfg.threshold_value <= 1.0:

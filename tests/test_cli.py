@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from fdacovert import ArrayGeometry, GridSpec, PolarPoint, evaluate_grid, lpa_plan
 from fdacovert import cli, fieldmap
-from fdacovert.cli import _grid_row_text, emit_csv, fmt, main
+from fdacovert._csvtext import grid_blocks, grid_text
+from fdacovert.cli import emit_csv, fmt, main
 from fdacovert.config import ConfigError, build_config, load_config
 from field_csv import read_field_csv
 
@@ -349,10 +350,15 @@ NO_SEEDS = ["sweep.schemes=LPA,RandomFDA", "sweep.seeds="]
         # J = g1*g3 - g2^2 is 0 for every plan at N = 2, so it cannot rank them
         ("optimize", ["geometry.n_antennas=2"], 2, "n_antennas"),
         ("region", ["geometry.n_antennas=2", "sweep.schemes=OptimizedFDA"], 2, "n_antennas"),
+        # every scheme once: no scheme would write no map, a repeated one the same file twice
+        ("heatmap", ["sweep.schemes="], 1, "sweep.schemes"),
+        ("region", ["sweep.schemes=LPA,LinearFDA,LPA"], 1, "sweep.schemes"),
+        ("rate", ["mc.n_samples=0"], 1, "mc.n_samples"),
     ],
     ids=["step-nan", "x-max-inf", "epsilon-nan", "f-delta-nan", "region-f-delta-0",
          "optimize-f-delta-0", "spacing-0", "sigma-w-nan", "sweep-n-no-seeds",
-         "sweep-fdelta-no-seeds", "rate-no-seeds", "optimize-n-2", "region-n-2"],
+         "sweep-fdelta-no-seeds", "rate-no-seeds", "optimize-n-2", "region-n-2",
+         "no-schemes", "repeated-scheme", "no-samples"],
 )
 def test_bad_grid_budget_and_plan_values_fail_loudly(
     tmp_path, capsys, sub, overrides, code, name
@@ -456,25 +462,59 @@ def per_cell_text(xs, y, row):
     return "".join(",".join(fmt(v) for v in (x, y, value)) + "\n" for x, value in zip(xs, row))
 
 
+def block_of(draw, xs, ys, cells):
+    """A (len(ys), len(xs)) block of cells drawn from the strategy cells."""
+    size = len(xs) * len(ys)
+    values = draw(st.lists(cells, min_size=size, max_size=size))
+    return np.array(values).reshape(len(ys), len(xs))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
-    data=st.lists(st.tuples(row_floats, row_floats), min_size=0, max_size=40),
-    y=row_floats,
+    xs=st.lists(row_floats, max_size=40),
+    ys=st.lists(row_floats, min_size=1, max_size=4),
+    data=st.data(),
 )
-def test_grid_row_text_matches_fmt_per_cell(data, y):
-    xs = [x for x, _ in data]
-    row = np.array([v for _, v in data], dtype=np.float64)
-    text = _grid_row_text([fmt(x) for x in xs], fmt(y), row)
-    assert text == per_cell_text(xs, y, row)
+def test_grid_row_text_matches_fmt_per_cell(xs, ys, data):
+    block = block_of(data.draw, xs, ys, row_floats).astype(np.float64)
+    text = grid_text([fmt(x) for x in xs], [fmt(y) for y in ys], block)
+    assert text == "".join(per_cell_text(xs, y, row) for y, row in zip(ys, block))
 
 
 @settings(max_examples=100, deadline=None)
-@given(data=st.lists(st.tuples(row_floats, st.booleans()), max_size=40), y=row_floats)
-def test_grid_row_text_matches_fmt_for_masks(data, y):
-    xs = [x for x, _ in data]
-    row = np.array([m for _, m in data], dtype=bool)
-    text = _grid_row_text([fmt(x) for x in xs], fmt(y), row)
-    assert text == per_cell_text(xs, y, row)
+@given(
+    xs=st.lists(row_floats, max_size=40),
+    ys=st.lists(row_floats, min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_grid_row_text_matches_fmt_for_masks(xs, ys, data):
+    block = block_of(data.draw, xs, ys, st.booleans()).astype(bool)
+    text = grid_text([fmt(x) for x in xs], [fmt(y) for y in ys], block)
+    assert text == "".join(per_cell_text(xs, y, row) for y, row in zip(ys, block))
+
+
+def kernel_cases():
+    """Floats at the edges of grid_text's digit and layout rules, and 1 M random positive ones."""
+    powers = [math.ldexp(1.0, e) for e in range(-1022, 1024)]
+    tens = [float(f"1e{k}") for k in range(-307, 309)]
+    near = [2.0 ** 53 + i for i in range(-64, 65)]
+    # positional up to 1e16 and from 1e-4, exponent form beyond
+    near += [1e-4, 1e16, 9.999999999999999e-05, 9999999999999998.0, 1e15, 123456789012345.6]
+    edges = np.array(powers + tens + near)
+    neighbours = [np.nextafter(edges, 0.0), edges, np.nextafter(edges, np.inf)]
+    rng = np.random.default_rng(20240917)
+    bits = rng.integers(0, 1 << 63, 1_000_000, dtype=np.uint64)  # sign bit clear
+    specials = np.array(FLOAT_SPECIALS + [2.2250738585072014e-308, 1.7976931348623157e308])
+    return np.concatenate(neighbours + [bits.view(np.float64), specials])
+
+
+def test_grid_text_matches_fmt_at_the_edges_and_on_random_bits():
+    values = kernel_cases()
+    width = 1000
+    values = np.concatenate([values, np.ones(-values.size % width)])
+    column = values.reshape(-1, width)
+    text = "".join(grid_blocks([""] * width, [""] * column.shape[0], column))
+    assert text == "".join([f",,{fmt(v)}\n" for v in values.tolist()])
 
 
 @pytest.mark.parametrize("sub", ["heatmap", "region"])
@@ -541,13 +581,16 @@ def test_region_bytes_do_not_depend_on_fdacovert_threads(tmp_path, monkeypatch):
     assert outputs["1"] == outputs["3"] == outputs["two"]
 
 
-# SHA-256 of every file region and sweep-fdelta write on the FAST grid, with
-# the schemes whose outputs rest on numpy's float64 arithmetic and the
-# value path's own sin/cos alone (OptimizedFDA's search uses float32 SIMD
-# trig, which may differ between CPUs).  A change that moves one of them
-# changes the program's outputs and must say so.
+# SHA-256 of every file heatmap, region and sweep-fdelta write on the FAST
+# grid, with the schemes whose outputs rest on numpy's float64 arithmetic
+# and the value path's own sin/cos alone (OptimizedFDA's search uses float32
+# SIMD trig, which may differ between CPUs).  A change that moves one of
+# them changes the program's outputs and must say so.
 GOLDEN_SHA256 = {
     "fraction": {
+        "heatmap_LPA.csv": "55eeab9e52f9041f7f933f6f6f1fc1d609ad4489c3fc35dc3bebb105b7512350",
+        "heatmap_LinearFDA.csv": "76753bd1c7baeeb477388e528c0e4754e063a99bd149d2e02e503d23c274280d",
+        "heatmap_RandomFDA.csv": "5796576fc1e593f7bfbea3bffb07c9bc68e53cf9011377b0fc98a11f4525ccf3",
         "region_LPA.csv": "946af7c96f6f6ecd704c12452ce6fd4a448596f9a80d76fd953c2b002f81a144",
         "region_LinearFDA.csv": "48834aac788b15776972627031585605bb578e62c422a6a26cc3023770b9e755",
         "region_RandomFDA.csv": "61a9f91719b5d63a0cad74ea6d9c7db89161bdb6f75678ec5f8b4de339c67b83",
@@ -555,6 +598,9 @@ GOLDEN_SHA256 = {
         "sweep_fdelta.csv": "e82bf65175159af5d78e9dbe8dccb125ea1106a0554481307344b15304702612",
     },
     "kl": {
+        "heatmap_LPA.csv": "a8f93062177155168924faca3dd23af8993d7f22a3f67473194576f18c14d533",
+        "heatmap_LinearFDA.csv": "702d316c5a596fbbdb9b628b802275e792b208ba409dae564f2fd24a7f69464a",
+        "heatmap_RandomFDA.csv": "1425b091418053c1387ea8ab131e577367eb019d9c69904acbebe4e5f8cf3cfa",
         "region_LPA.csv": "3254d1261aff41015f340eb6373f25f9a8e21ae840d05d48e40dc64bdb1151aa",
         "region_LinearFDA.csv": "b7714938989da7f66456ac433f173fd24f5e0aacf6c6c549ee9f36ac298e7752",
         "region_RandomFDA.csv": "ed7c512bc32baf8c254948c607bd666d24a13586257633d52722290b52708774",
@@ -570,7 +616,7 @@ def test_region_and_sweep_outputs_keep_their_golden_bytes(tmp_path, mode):
     args = FAST + [
         "--set", "sweep.schemes=LPA,LinearFDA,RandomFDA", "--set", f"threshold.mode={mode}"
     ]
-    for sub in ("region", "sweep-fdelta"):
+    for sub in ("heatmap", "region", "sweep-fdelta"):
         assert run_cli([sub, "--out", str(out)] + args) == 0
     digests = {
         name: hashlib.sha256(read_bytes(out / name)).hexdigest()
