@@ -175,11 +175,13 @@ def _phase_coefficients(g: ArrayGeometry, plan: FrequencyPlan, bob: PolarPoint):
 class _Nodes:
     """r, 1/r and sin(theta) of the grid nodes (x, y); x and y broadcast together."""
 
-    def __init__(self, x, y):
-        self.r = np.hypot(x, y)
+    def __init__(self, x, y, out=None):
+        """out, if given, is three arrays of the nodes' shape that take r, 1/r and sin(theta)."""
+        r, inv_r, sin_t = (None, None, None) if out is None else out
+        self.r = np.hypot(x, y, out=r)
         with np.errstate(divide="ignore", invalid="ignore"):
-            self.inv_r = 1.0 / self.r
-            self.sin_t = y * self.inv_r
+            self.inv_r = np.divide(1.0, self.r, out=inv_r)
+            self.sin_t = np.multiply(y, self.inv_r, out=sin_t)
 
     def astype(self, dtype):
         """The same nodes with r, 1/r and sin(theta) rounded to dtype."""
@@ -190,7 +192,7 @@ class _Nodes:
         return cast
 
 
-def _element_phases(coeffs, nodes: _Nodes):
+def _element_phases(coeffs, nodes: _Nodes, buffers=None):
     """Each element's phase at the nodes in turn, in one reused buffer of the nodes' dtype.
 
     The one phase formation of the grid map (fieldmap's value and mask
@@ -200,11 +202,15 @@ def _element_phases(coeffs, nodes: _Nodes):
     Coefficients of the nodes' dtype keep every operation in that dtype.
     Coefficients shaped (groups, E, 1), against nodes shaped (1, M), give
     each group's E elements at once, as an (E, M) buffer, with the same
-    operations on every value.
+    operations on every value.  buffers, if given, is (phase, tmp), two
+    arrays of that shape: the phase is formed in the first, and the
+    second is free between yields.
     """
     k, c1, c2, ref = coeffs
-    phase = np.empty(np.broadcast_shapes(np.shape(k[0]), nodes.r.shape), dtype=nodes.r.dtype)
-    tmp = np.empty_like(phase)
+    if buffers is None:
+        shape = np.broadcast_shapes(np.shape(k[0]), nodes.r.shape)
+        buffers = np.empty(shape, dtype=nodes.r.dtype), np.empty(shape, dtype=nodes.r.dtype)
+    phase, tmp = buffers
     for n in range(len(k)):
         np.multiply(nodes.r, k[n], out=phase)
         np.multiply(nodes.inv_r, c1[n], out=tmp)

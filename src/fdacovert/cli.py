@@ -2,8 +2,9 @@
 
 Subcommands: heatmap, region, sweep-n, sweep-fdelta, rate, optimize, selftest.
 Every output file embeds a metadata header (config hash, seeds, version) and
-is written via a temp file + rename, and a failed run removes the output
-directory if it made it and it is still empty, so it leaves nothing behind.
+is written via a temp file + rename, with the mode open() would give it
+under the umask; a failed run removes the output directory if it made it
+and it is still empty, so it leaves nothing behind.
 Values are written as fmt writes them.  The grid CSVs of heatmap and region,
 one 'x,y,value' line per cell, are written a block of rows at a time, each
 block's text formed in whole-array numpy calls by _csvtext.grid_text, byte
@@ -70,12 +71,19 @@ SUBCOMMANDS = (
 
 @contextmanager
 def _atomic_text_file(path: str):
-    """Text file handle whose content appears at path only if the block succeeds."""
+    """Text file handle whose content appears at path only if the block succeeds.
+
+    The file gets the mode open() would give it, 0o666 less the umask, and
+    not mkstemp's 0o600.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
+        umask = os.umask(0)  # read by setting it, then put back
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -168,6 +176,7 @@ def cmd_heatmap(cfg: ExperimentConfig, out_dir: str) -> List[str]:
         rows = _grid_rows(fmap.spec, fmap.values)
         emit_csv(path, ["x_m", "y_m", "normalized_power"], rows, meta)
         written.append(path)
+        del fmap, rows  # one map at a time: free this one before the next is built
     return written
 
 

@@ -189,7 +189,7 @@ _PI_HEX = "3243F6A8885A308D313198A2E03707344A4093822299F31D0082EFA98EC4E6C894528
 _PI_FIXED, _PI_BITS = int(_PI_HEX, 16), 4 * (len(_PI_HEX) - 1)
 _TURN_STEPS = 4096
 _EXACT_STEPS = 2.0**33
-_CHUNK = 16384
+_CHUNK = 1 << 16
 
 
 def _unit_circle(steps):
@@ -230,14 +230,14 @@ def _split(n, bits):
 
 
 _TABLE = _unit_circle(_TURN_STEPS)
-_SPLIT = np.array(_split(2 * _PI_FIXED // _TURN_STEPS, (20, 20)))[:, None]  # C1, C2, C3
+_SPLIT = _split(2 * _PI_FIXED // _TURN_STEPS, (20, 20))  # C1, C2, C3
 # sin r = r + r^3 (r^2/120 - 1/6) and cos r - 1 = r^2 (r^2/24 - 1/2), by rows
 _TAYLOR = np.array([[1.0 / 120.0, 1.0 / 6.0], [1.0 / 24.0, 0.5]])
 
 
 def _sincos_scratch(size):
     """The scratch argument of _sincos for up to size phases."""
-    return np.empty((7, size))
+    return np.empty((6, size))
 
 
 def _sincos(phase, scratch, check=True):
@@ -275,6 +275,10 @@ def _sincos(phase, scratch, check=True):
     they are at most eps64/8 each.  Phases beyond 2^22 pi, where m C1 would
     round, and nan get libm's cos and sin themselves.  Run under
     np.errstate(invalid="ignore"): libm's cos and sin of +-inf are invalid.
+
+    The six scratch rows hold, in turn: rows 0-1 m and each split m C_i,
+    then r^2, then j, then u = (-sT, cT) sin r; rows 2-3 the polynomials
+    sin r and cos r - 1, then the output; rows 4-5 the table entries.
     """
     n = phase.size
     m, r2 = scratch[0, :n], scratch[1, :n]
@@ -285,13 +289,12 @@ def _sincos(phase, scratch, check=True):
         far = np.flatnonzero(~(np.abs(m) <= _EXACT_STEPS))
         far_phase = phase[far]
         phase[far] = m[far] = 0.0
-    splits = scratch[1:4, :n]
-    np.multiply(m, _SPLIT, out=splits)
-    for split in splits:
-        phase -= split
+    for split in _SPLIT:
+        np.multiply(m, split, out=r2)
+        phase -= r2
     r = phase
     np.multiply(r, r, out=r2)
-    poly = scratch[5:7, :n]  # rows sin r and cos r - 1
+    poly = scratch[2:4, :n]  # rows sin r and cos r - 1
     np.multiply(r2, _TAYLOR[:, :1], out=poly)
     poly -= _TAYLOR[:, 1:]
     poly *= r2
@@ -302,13 +305,15 @@ def _sincos(phase, scratch, check=True):
     np.bitwise_and(j, _TURN_STEPS - 1, out=j)
     # (cT, sT) + (cT, sT) (cos r - 1) + (-sT, cT) sin r; j is in range, and
     # numpy's "wrap" mode takes it fastest
-    t = scratch[2:4, :n]
+    t = scratch[4:6, :n]
     np.take(_TABLE, j, axis=1, out=t, mode="wrap")
     u = scratch[0:2, :n]
     np.multiply(t[::-1], poly[0], out=u)
     np.negative(u[0], out=u[0])
-    out = scratch[4:6, :n]
-    np.multiply(t, poly[1], out=out)
+    # t (cos r - 1) over the polynomials, a row at a time: cos r - 1 is row 3
+    out = poly
+    np.multiply(t[0], poly[1], out=out[0])
+    np.multiply(t[1], poly[1], out=out[1])
     out += u
     out += t
     if far is not None:
@@ -322,38 +327,60 @@ def _correlation_block(coeffs, x, y, out=None):
     Each element's float64 phase, unreduced, goes through _sincos and the
     phasors are summed in float64 in element order; this agrees with the
     per-point oracle, which reduces mod 2 pi, to ~1e-12 relative.  The nodes
-    are taken in chunks of at most _CHUNK, so every array lives in cache,
-    and a call of _sincos takes the phases of one element or, at fewer
-    nodes, of several, formed together, so that a few nodes do not cost N
-    rounds of calls.  Every
-    operation is elementwise, so a row block of the grid and any gathered
-    subset of its nodes get bit-identical values.  The r = 0 node is nan.
-    The values go to out, a C-contiguous array of the nodes' shape, if given.
+    are taken in as few chunks of at most _CHUNK as they fit in, equal but
+    for the last, so a row block of the default grid (50 x 801 nodes) is one
+    chunk and each _sincos call takes one element's phases over all of it.
+    At fewer nodes a call takes the phases of several elements, formed
+    together, so that a few nodes do not cost N rounds of calls.  A single
+    chunk's r, 1/r and sin(theta) come from the broadcast x and y as they
+    are; more chunks copy out their nodes first.  The workspace, allocated
+    once per call, holds 12 float64 rows: five of a chunk's nodes (r, 1/r,
+    sin(theta) and the two sums) and seven of a call's phases (the phase and
+    _sincos's six scratch rows, whose row 0 is also _element_phases's tmp).
+    It is allocated before anything else in the call, and its size is
+    rounded up to a power of two, so that the blocks of a map, the smaller
+    last one too, ask for one size, and glibc's malloc gives each thread
+    back the piece its previous block freed.  With a smaller last block,
+    and no rounding, a second workspace stayed in a thread's arena in ~15%
+    of default heatmap runs (+3.4 MB peak RSS).
+    Every operation is elementwise, so a row block of the grid and any
+    gathered subset of its nodes get bit-identical values.  The r = 0 node
+    is nan.  The values go to out, a C-contiguous array of the nodes' shape,
+    if given.
     """
     x, y = np.broadcast_arrays(x, y)
-    raw = np.empty(x.shape) if out is None else out
-    n, chunks = coeffs[0].size, max(1, math.ceil(raw.size / _CHUNK))
-    width = max(1, math.ceil(raw.size / chunks))  # nodes per chunk
+    n, chunks = coeffs[0].size, max(1, math.ceil(x.size / _CHUNK))
+    width = max(1, math.ceil(x.size / chunks))  # nodes per chunk
     rows = min(n, _CHUNK // width)  # elements per _sincos call
+    used = 5 * width + 7 * rows * width
+    work = np.empty(1 << (used - 1).bit_length())  # first, and a power of two
+    node_rows = work[:5 * width].reshape(5, width)  # r, 1/r, sin(theta), the sums
+    call_rows = work[5 * width:used].reshape(7, rows * width)  # the phase, _sincos's scratch
+    phase_row, scratch = call_rows[0], call_rows[1:]
+    raw = np.empty(x.shape) if out is None else out
     groups = math.ceil(n / rows)
     # each element's coefficients as a column, rows to a group; the last
     # group is padded with zero elements, whose phasors are not summed
     pad = np.zeros(groups * rows - n)
     columns = tuple(np.concatenate([c, pad]).reshape(groups, rows, 1) for c in coeffs)
-    scratch = _sincos_scratch(rows * width)
-    acc_rows = np.empty((2, width))
     k, c1, c2, ref = (float(np.max(np.abs(c))) for c in coeffs)
     with np.errstate(invalid="ignore"):
         for i0 in range(0, raw.size, width):
-            nodes = _Nodes(x.flat[i0:i0 + width][None], y.flat[i0:i0 + width][None])
-            size = nodes.r.size
+            # a single chunk's nodes are x and y as broadcast, not copied
+            xc, yc = (x, y) if chunks == 1 else (x.flat[i0:i0 + width], y.flat[i0:i0 + width])
+            size = xc.size
+            r, inv_r, sin_t = node_rows[:3, :size]
+            nodes = _Nodes(xc, yc, out=[a.reshape(xc.shape) for a in (r, inv_r, sin_t)])
+            nodes.r, nodes.inv_r, nodes.sin_t = r[None], inv_r[None], sin_t[None]
             # |phase| <= |k| r + |c1| / r + |c2| + |ref| (inf at r = 0); below
             # half the exact range, _sincos need not check it
             bound = k * nodes.r.max() + c1 * nodes.inv_r.max() + c2 + ref
             check = not bound < _EXACT_STEPS * math.pi / _TURN_STEPS
-            acc = acc_rows[:, :size]
+            acc = node_rows[3:, :size]
             acc.fill(0.0)
-            for n0, phase in zip(range(0, n, rows), _element_phases(columns, nodes)):
+            buffers = (phase_row[:rows * size].reshape(rows, size),
+                       scratch[0, :rows * size].reshape(rows, size))
+            for n0, phase in zip(range(0, n, rows), _element_phases(columns, nodes, buffers)):
                 phasors = _sincos(phase.reshape(-1), scratch, check).reshape(2, rows, size)
                 for e in range(min(rows, n - n0)):
                     acc += phasors[:, e]

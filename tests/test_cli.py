@@ -4,9 +4,11 @@ import hashlib
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import textwrap
+import weakref
 
 import numpy as np
 import pytest
@@ -579,6 +581,47 @@ def test_region_bytes_do_not_depend_on_fdacovert_threads(tmp_path, monkeypatch):
         outputs[env] = {name: read_bytes(out / name) for name in sorted(os.listdir(out))}
     assert len(outputs["1"]) == 5  # four masks and the summary
     assert outputs["1"] == outputs["3"] == outputs["two"]
+
+
+def test_heatmap_bytes_do_not_depend_on_fdacovert_threads(tmp_path, monkeypatch):
+    outputs = {}
+    for env in ("1", "3"):
+        monkeypatch.setenv("FDACOVERT_THREADS", env)
+        out = tmp_path / env
+        assert run_cli(["heatmap", "--out", str(out)] + FAST) == 0
+        outputs[env] = {name: read_bytes(out / name) for name in sorted(os.listdir(out))}
+    assert len(outputs["1"]) == 4  # one map per scheme
+    assert outputs["1"] == outputs["3"]
+
+
+def test_heatmap_holds_one_map_at_a_time(tmp_path, monkeypatch):
+    # each map is freed before the next is built, so heatmap's peak memory
+    # holds one map whatever the number of schemes
+    maps = []
+
+    def evaluate_grid(*args, **kwargs):
+        assert all(m() is None for m in maps)
+        fmap = fieldmap.evaluate_grid(*args, **kwargs)
+        maps.append(weakref.ref(fmap))
+        return fmap
+
+    monkeypatch.setattr(cli, "evaluate_grid", evaluate_grid)
+    args = FAST + ["--set", "sweep.schemes=LPA,LinearFDA,RandomFDA"]
+    assert run_cli(["heatmap", "--out", str(tmp_path / "out")] + args) == 0
+    assert len(maps) == 3
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_outputs_get_the_mode_open_gives_under_the_umask(tmp_path, umask, mode):
+    out = tmp_path / "out"
+    previous = os.umask(umask)
+    try:
+        assert run_cli(["region", "--out", str(out)] + FAST) == 0
+    finally:
+        os.umask(previous)
+    modes = {name: stat.S_IMODE(os.stat(out / name).st_mode) for name in os.listdir(out)}
+    assert len(modes) == 5  # four masks and the summary
+    assert set(modes.values()) == {mode}
 
 
 # SHA-256 of every file heatmap, region and sweep-fdelta write on the FAST

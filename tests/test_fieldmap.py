@@ -782,3 +782,28 @@ def test_value_path_is_elementwise_across_chunks(size):
     iy[-1], ix[-1] = spec.n_y - 1, spec.n_x - 1
     np.testing.assert_array_equal(fieldmap._correlation_block(coeffs, xs[ix], ys[iy]),
                                   full[iy, ix])
+
+
+def test_value_path_is_elementwise_across_chunks_of_a_large_grid():
+    # 8 x (_CHUNK // 512 + 1) rows of 512 nodes: the full grid takes 9
+    # chunks, a row block of one thread (an eighth of the rows) 2, and one
+    # of three threads 1; _CHUNK + 1 gathered nodes take 2
+    chunk = fieldmap._CHUNK
+    n_x, n_y = 512, 8 * (chunk // 512 + 1)
+    spec = GridSpec(0.0, 0.25 * (n_x - 1), 0.0, 0.25 * (n_y - 1), 0.25)
+    assert (spec.n_x, spec.n_y) == (n_x, n_y) and n_y // 8 * n_x > chunk
+    g = ArrayGeometry(n_antennas=13, carrier_hz=3e9)
+    plan = random_fda_plan(g, 1e6, 2)
+    coeffs = fieldmap._phase_coefficients(g, plan, BOB)
+    xs, ys = spec.xs(), spec.ys()
+    full = fieldmap._correlation_block(coeffs, xs[None, :], ys[:, None])
+    rng = np.random.default_rng(chunk)
+    iy, ix = rng.integers(0, n_y, chunk + 1), rng.integers(0, n_x, chunk + 1)
+    iy[0], ix[0] = 0, 0  # the origin, nan
+    np.testing.assert_array_equal(fieldmap._correlation_block(coeffs, xs[ix], ys[iy]),
+                                  full[iy, ix])
+    for n_threads in (1, 3):
+        fmap = evaluate_grid(g, plan, BOB, spec, n_threads=n_threads)
+        normalizer = fmap.metadata["bob_cell_raw_correlation"]
+        assert normalizer == full[fmap.metadata["bob_cell"]]
+        np.testing.assert_array_equal(fmap.values, full / normalizer)
