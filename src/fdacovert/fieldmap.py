@@ -243,8 +243,9 @@ def _sincos_scratch(size):
 def _sincos(phase, scratch, check=True):
     """Rows cos and sin of each float64 phase, each within eps64 = 2^-52 of libm's.
 
-    phase is overwritten, scratch comes from _sincos_scratch, and the
-    result is a view of two of its rows.  With check false, the caller
+    phase is overwritten, scratch is six rows of at least phase.size
+    floats, as from _sincos_scratch, and the result is a view of two of
+    its rows.  With check false, the caller
     promises no nan and every |phase| below 2^21 pi, half the exact range
     below, so no phase is tested against it.  With h = 2 pi / K,
     K = _TURN_STEPS (Tang, ACM TOMS 1989, table driven; Cody and Waite,
@@ -371,6 +372,7 @@ def _correlation_block(coeffs, x, y, out=None):
             size = xc.size
             r, inv_r, sin_t = node_rows[:3, :size]
             nodes = _Nodes(xc, yc, out=[a.reshape(xc.shape) for a in (r, inv_r, sin_t)])
+            # seen by _element_phases as one row of nodes, as its columns need
             nodes.r, nodes.inv_r, nodes.sin_t = r[None], inv_r[None], sin_t[None]
             # |phase| <= |k| r + |c1| / r + |c2| + |ref| (inf at r = 0); below
             # half the exact range, _sincos need not check it
