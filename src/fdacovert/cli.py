@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from contextlib import contextmanager
 from dataclasses import replace
 from typing import Iterable, List, Optional, Sequence
@@ -42,10 +41,9 @@ from .fieldmap import (
     GridSpec,
     evaluate_grid,
     extract_noncovert,
-    float32_error,
+    lattice_errors,
     monte_carlo_rate,
     noncovert_region,
-    sincos_error,
     sweep,
 )
 from .geometry import ArrayGeometry, DomainError
@@ -58,32 +56,20 @@ from .schemes import (
     refine_for_region,
 )
 
-SUBCOMMANDS = (
-    "heatmap",
-    "region",
-    "sweep-n",
-    "sweep-fdelta",
-    "rate",
-    "optimize",
-    "selftest",
-)
-
-
 @contextmanager
 def _atomic_text_file(path: str):
     """Text file handle whose content appears at path only if the block succeeds.
 
-    The file gets the mode open() would give it, 0o666 less the umask, and
-    not mkstemp's 0o600.
+    The temporary file, named for this call by the pid and a random token,
+    is created with mode 0o666, which the kernel narrows by the umask, so
+    the file gets the mode open() would give it.
     """
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_")
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(directory, f".tmp_{os.getpid()}_{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
-        umask = os.umask(0)  # read by setting it, then put back
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -180,7 +166,7 @@ def cmd_heatmap(cfg: ExperimentConfig, out_dir: str) -> List[str]:
     return written
 
 
-def cmd_region(cfg: ExperimentConfig, out_dir: str, plan_file: Optional[str]) -> List[str]:
+def cmd_region(cfg: ExperimentConfig, out_dir: str, plan_file: Optional[str] = None) -> List[str]:
     mode, value = cfg.effective_threshold()
     written = []
     summary = []
@@ -399,8 +385,7 @@ def _selftest_checks(cfg: ExperimentConfig):
         extent = max(grid.x_max_m - grid.x_min_m, grid.y_max_m - grid.y_min_m)
         coarse = replace(grid, step_m=min(extent / 79, bob.r_m / 2))
         return (
-            float32_error(g, plan, bob, grid) <= 1.0
-            and sincos_error(g, plan, bob, grid) <= 1.0
+            max(lattice_errors(g, plan, bob, grid)) <= 1.0
             and all(
                 np.array_equal(
                     extract_noncovert(evaluate_grid(g, plan, bob, spec), mode, value).mask,
@@ -448,7 +433,7 @@ class _Parser(argparse.ArgumentParser):
 
 def make_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fdacovert", description=__doc__)
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=_HANDLERS)
     parser.add_argument("--config", help="path to a sectioned key=value config file")
     parser.add_argument(
         "--set",
@@ -467,6 +452,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 _HANDLERS = {
     "heatmap": cmd_heatmap,
+    "region": cmd_region,
     "sweep-n": lambda cfg, out: _cmd_sweep(cfg, out, "n_antennas"),
     "sweep-fdelta": lambda cfg, out: _cmd_sweep(cfg, out, "f_delta"),
     "rate": cmd_rate,
@@ -496,10 +482,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         cfg = load_config(args.config, args.overrides)
         created = _make_out_dir(args.out)
         try:
-            if args.subcommand == "region":
-                written = cmd_region(cfg, args.out, args.plan)
-            else:
-                written = _HANDLERS[args.subcommand](cfg, args.out)
+            handler = _HANDLERS[args.subcommand]
+            written = handler(cfg, args.out, args.plan) if args.plan else handler(cfg, args.out)
         except BaseException:
             for path in created:  # deepest first; one with files in it stays
                 try:

@@ -17,8 +17,9 @@ Two paths form phases with channel._element_phases, as the region search does:
   and sums their float32 sin/cos in float32 (_float32_block), then
   recomputes in float64 the cells within the derived error bound of the
   threshold, so its mask equals the value path's cell for cell.  region,
-  sweep and monte_carlo_rate use it.  In kl mode it evaluates no cell
-  beyond the reach radius r*, derived in noncovert_region.
+  sweep and monte_carlo_rate use it.  In kl mode it evaluates one
+  rectangle per map, the rows and columns within the reach radius r*
+  derived in noncovert_region: the square of side r* on the default grid.
 """
 
 from __future__ import annotations
@@ -270,7 +271,7 @@ def _sincos(phase, scratch, check=True):
         half an ulp of the result.
     So each result is within ulp(result)/2 + ulp(table entry)/2 + 2^-60 of
     the exact value v, and libm's within ulp(v), the accuracy assumed of it
-    (sincos_error measures it).  Where |v| >= 1/4 these are at most
+    (lattice_errors measures it).  Where |v| >= 1/4 these are at most
     eps64/4, eps64/4 and eps64/2, and both results, at least 1/8, are
     multiples of eps64/16, so they differ by at most eps64; where |v| < 1/4
     they are at most eps64/8 each.  Phases beyond 2^22 pi, where m C1 would
@@ -394,6 +395,17 @@ def _correlation_block(coeffs, x, y, out=None):
 # validated by numpy's umath-validation-set-{sin,cos}.csv, and its safety factor.
 _TRIG_ULPS = 2
 _SAFETY = 2.0
+_EPS64 = float(np.finfo(float).eps)
+
+
+def _float64_slack(n):
+    """8 (N + 4) eps64: what float64 trig, accumulation and squaring add to a raw value.
+
+    It allows the value path's sin and cos 4 eps64 each, and _sincos keeps
+    them within eps64/2 + 2^-60 of exact.  _float32_block's bound and
+    noncovert_region's reach both end with it.
+    """
+    return 8.0 * (n + 4) * _EPS64
 
 
 def _float32_block(coeffs, nodes: _Nodes):
@@ -430,10 +442,9 @@ def _float32_block(coeffs, nodes: _Nodes):
     their |terms| in float64, which adds 4 eps64 mean_n T64_n; delta is the
     sum, per node.  Since |S| <= N, |raw32 - raw64| <= 2 delta + delta^2, to
     which float64 trig, accumulation and squaring in both paths add
-    8 (N + 4) eps64; that allows the value path's sin and cos 4 eps64 each,
-    and _sincos keeps them within eps64/2 + 2^-60 of exact.  bound is that
-    sum: ~3e-5 (N = 16) to ~1.3e-4 (N = 64) over most of the default grid,
-    and larger next to the origin, where c1 / r reaches thousands of rad.
+    _float64_slack(N).  bound is that sum: ~3e-5 (N = 16) to ~1.3e-4
+    (N = 64) over most of the default grid, and larger next to the origin,
+    where c1 / r reaches thousands of rad.
     The largest error measured on the default grid's extent is 1-4% of it.
     noncovert_region recomputes within _SAFETY = 2 times it.  The r = 0 node
     gets nan.
@@ -445,7 +456,7 @@ def _float32_block(coeffs, nodes: _Nodes):
     acc_re = np.zeros(shape, dtype=np.float32)
     acc_im = np.zeros(shape, dtype=np.float32)
     coeffs32 = tuple(c.astype(np.float32) for c in shifted)
-    eps, eps64 = float(np.finfo(np.float32).eps), float(np.finfo(float).eps)
+    eps = float(np.finfo(np.float32).eps)
     with np.errstate(invalid="ignore"):
         for phase in _element_phases(coeffs32, nodes.astype(np.float32)):
             np.cos(phase, out=trig)
@@ -454,14 +465,14 @@ def _float32_block(coeffs, nodes: _Nodes):
             acc_im += trig
         # 4 eps mean_n T_n + 4 eps64 mean_n T64_n, weighing r, 1/r, |sin(theta)| and 1
         w_k, w_c1, w_c2, w_ref = (
-            4.0 * eps * float(np.mean(np.abs(a))) + 4.0 * eps64 * float(np.mean(np.abs(b)))
+            4.0 * eps * float(np.mean(np.abs(a))) + 4.0 * _EPS64 * float(np.mean(np.abs(b)))
             for a, b in zip(shifted, coeffs)
         )
         delta = w_k * nodes.r + w_c1 * nodes.inv_r
         delta += w_c2 * np.abs(nodes.sin_t)
         delta += w_ref + (math.sqrt(2.0) * _TRIG_ULPS + k.size) * eps
         bound = delta * (delta + 2.0)
-        bound += 8.0 * (k.size + 4) * eps64
+        bound += _float64_slack(k.size)
     return _power(acc_re.astype(float), acc_im.astype(float), k.size), bound
 
 
@@ -644,13 +655,9 @@ def noncovert_region(
     cell, and only a bool mask is ever allocated for the whole grid.
     Warnings and errors are evaluate_grid's and extract_noncovert's.
 
-    The fractional cut is at most the focus cell's raw value, so fraction
-    mode evaluates every cell.  In kl mode the cut grows as r^2, and no
-    cell beyond the reach radius r* = lambda / (4 pi) sqrt(1 / (q N)),
-    21.5 m at the defaults, can be detected: there the cut exceeds
-    reach = 1 + 8 (N + 4) eps64, the term _float32_block's bound allows for
-    float64 trig, accumulation and squaring, and reach bounds every raw
-    value a detected cell can have, with u = eps64 / 2:
+    No cell whose cut exceeds reach = 1 + _float64_slack(N) can be
+    detected: reach bounds every raw value a detected cell can have, with
+    u = eps64 / 2:
       - The float64 value path sums N phasors whose sin and cos are within
         4 eps64 of exact (_sincos keeps them within eps64/2 + 2^-60), so
         each has modulus <= 1 + 4 sqrt(2) eps64, and recursive summation
@@ -662,11 +669,18 @@ def noncovert_region(
         with the same beta^2.  So a detected cell has cut <= raw (1 + u)^6
         <= 1 + (N + 18) eps64 < reach.
     A node's r is at least max(|x|, |y|) (hypot rounds faithfully), and
-    cut's float64 operations are monotone in r.  So kl mode evaluates the
-    rows from the first to the last y_i with cut(max(|y_i|, min |x|)) <=
-    reach and, per row block, the columns from the first to the last x_j
-    with cut(max(|x_j|, min |y| of the block)) <= reach.  Every operation
-    on a node is elementwise, so its values do not depend on its block.
+    cut's float64 operations are monotone in r.  So one rectangle per map
+    holds every cell that can be detected: the rows from the first to the
+    last y_i with cut(max(|y_i|, min |x|)) <= reach, and the columns from
+    the first to the last x_j with cut(max(|x_j|, min |y|)) <= reach.  Each
+    of its rows has cut(|y_i|) <= reach, so a row block's own columns,
+    those with cut(max(|x_j|, min |y| of the block)) <= reach, are the
+    same.  The fractional cut is at most the focus cell's raw value, below
+    reach, so fraction mode evaluates every cell.  In kl mode the cut grows
+    as r^2 and exceeds reach beyond r* = lambda / (4 pi) sqrt(1 / (q N)),
+    21.5 m at the defaults, so a grid with a corner at the origin is
+    evaluated on the square of side r*.  Every operation on a node is
+    elementwise, so its values do not depend on its block.
     """
     coeffs = _phase_coefficients(g, plan, bob)
     bob_cell, normalizer = _focus_normalizer(coeffs, bob, spec)
@@ -674,37 +688,31 @@ def noncovert_region(
     _check_threshold(threshold_mode, threshold_value, bob_cell)
     n, lam = g.n_antennas, g.wavelength_m
     xs, ys = spec.xs(), spec.ys()
-    if threshold_mode == "fraction":
-        raw_cut = threshold_value * normalizer
+    reach = 1.0 + _float64_slack(n)
 
-        def cut(r):
-            return raw_cut
+    def cut(r):
+        if threshold_mode == "fraction":
+            return np.broadcast_to(threshold_value * normalizer, np.shape(r))
+        return threshold_value * n / _beta_sq(lam, r)
 
-        def span(v, other):
-            return 0, v.size
-    else:
-        reach = 1.0 + 8.0 * (n + 4) * float(np.finfo(float).eps)
-
-        def cut(r):
-            return threshold_value * n / _beta_sq(lam, r)
-
-        def span(v, other):
-            with np.errstate(divide="ignore"):
-                live = np.flatnonzero(cut(np.maximum(np.abs(v), np.abs(other).min())) <= reach)
-            return (live[0], live[-1] + 1) if live.size else (0, 0)
+    def span(v, other):
+        with np.errstate(divide="ignore"):
+            live = np.flatnonzero(cut(np.maximum(np.abs(v), np.abs(other).min())) <= reach)
+        return (live[0], live[-1] + 1) if live.size else (0, 0)
 
     mask = np.zeros((spec.n_y, spec.n_x), dtype=bool)
+    cols = slice(*span(xs, ys))
+    x = xs[cols]
 
     def fill(i0, i1):
-        cols = slice(*span(xs, ys[i0:i1]))
-        nodes = _Nodes(xs[None, cols], ys[i0:i1, None])
+        nodes = _Nodes(x[None, :], ys[i0:i1, None])
         raw, bound = _float32_block(coeffs, nodes)
         with np.errstate(divide="ignore", invalid="ignore"):
             threshold = cut(nodes.r)
             block = raw >= threshold
             raw -= threshold
             near = np.nonzero(np.abs(raw, out=raw) <= _SAFETY * bound)
-        values = _correlation_block(coeffs, xs[cols][near[1]], ys[i0:i1][near[0]]) / normalizer
+        values = _correlation_block(coeffs, x[near[1]], ys[i0:i1][near[0]]) / normalizer
         block[near] = _non_covert(
             values, threshold_mode, threshold_value, normalizer, lam, n, nodes.r[near]
         )
@@ -714,50 +722,37 @@ def noncovert_region(
     return _region_result(spec, mask)
 
 
-def _sparse_lattice(spec: GridSpec):
-    """x (a row) and y (a column) of spec's nodes at geometrically spaced indices.
+def lattice_errors(g: ArrayGeometry, plan: FrequencyPlan, bob: PolarPoint, spec: GridSpec):
+    """(float32, sincos): how near the two kernels come to their bounds, on the platform.
 
-    The indices run from the second to the last, so the lattice's nodes run
-    from the one next to the grid's first corner out to its far corner.
+    float32 is the largest |raw32 - raw64| / bound: the bound rests on
+    numpy's float32 sin/cos being accurate to _TRIG_ULPS ulps over the
+    phases noncovert_region forms.  sincos is the largest |_sincos - libm|
+    / eps64 over every phase: _sincos derives its eps64 bound from numpy's
+    float64 arithmetic and libm's sin and cos being within 1 ulp.  Each
+    measures whether the installed platform keeps what its bound rests on,
+    so neither must exceed 1.  Both are taken over one sparse lattice of
+    spec's nodes, evaluated as one block: the nodes at geometrically spaced
+    indices from the second to the last, so from the one next to the
+    grid's first corner out to its far corner.
     """
 
     def lattice(values):
         return values[np.unique(np.geomspace(1, values.size - 1, 48).astype(int))]
 
-    return lattice(spec.xs())[None, :], lattice(spec.ys())[:, None]
-
-
-def float32_error(g: ArrayGeometry, plan: FrequencyPlan, bob: PolarPoint, spec: GridSpec):
-    """The largest |raw32 - raw64| / bound over a sparse lattice of spec's nodes.
-
-    The bound rests on numpy's float32 sin/cos being accurate to _TRIG_ULPS
-    ulps over the phases noncovert_region forms; this measures whether the
-    installed numpy keeps it, so the result must not exceed 1.  The lattice
-    (_sparse_lattice) is evaluated as one block.
-    """
     coeffs = _phase_coefficients(g, plan, bob)
-    x, y = _sparse_lattice(spec)
-    raw32, bound = _float32_block(coeffs, _Nodes(x, y))
-    return float(np.nanmax(np.abs(raw32 - _correlation_block(coeffs, x, y)) / bound))
-
-
-def sincos_error(g: ArrayGeometry, plan: FrequencyPlan, bob: PolarPoint, spec: GridSpec):
-    """The largest |_sincos - libm| / eps64 over every phase of float32_error's lattice.
-
-    _sincos derives its eps64 bound from numpy's float64 arithmetic and
-    libm's sin and cos being within 1 ulp; this measures whether the
-    installed platform keeps it, so the result must not exceed 1.
-    """
-    x, y = _sparse_lattice(spec)
+    x, y = lattice(spec.xs())[None, :], lattice(spec.ys())[:, None]
+    nodes = _Nodes(x, y)
+    raw32, bound = _float32_block(coeffs, nodes)
+    float32 = float(np.nanmax(np.abs(raw32 - _correlation_block(coeffs, x, y)) / bound))
     with np.errstate(invalid="ignore"):
-        phases = np.array([p.copy() for p in _element_phases(
-            _phase_coefficients(g, plan, bob), _Nodes(x, y))]).reshape(-1)
+        phases = np.array([p.copy() for p in _element_phases(coeffs, nodes)]).reshape(-1)
         libm = np.cos(phases), np.sin(phases)
         fast = _sincos(phases, _sincos_scratch(phases.size))
     if not all(np.array_equal(np.isnan(a), np.isnan(b)) for a, b in zip(fast, libm)):
-        return math.inf
+        return float32, math.inf
     worst = max(float(np.nanmax(np.abs(a - b), initial=0.0)) for a, b in zip(fast, libm))
-    return worst / float(np.finfo(float).eps)
+    return float32, worst / _EPS64
 
 
 def sweep(

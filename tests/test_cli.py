@@ -624,6 +624,21 @@ def test_outputs_get_the_mode_open_gives_under_the_umask(tmp_path, umask, mode):
     assert set(modes.values()) == {mode}
 
 
+def test_outputs_are_written_without_touching_the_umask(tmp_path, monkeypatch):
+    # setting the umask is process-wide, so a file another thread creates
+    # while it is changed would get the wrong mode; the kernel applies it
+    def umask(mask):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", umask)
+    out = tmp_path / "out"
+    assert run_cli(["region", "--out", str(out)] + FAST) == 0
+    assert sorted(os.listdir(out)) == [
+        "region_LPA.csv", "region_LinearFDA.csv", "region_OptimizedFDA.csv",
+        "region_RandomFDA.csv", "region_summary.csv",
+    ]
+
+
 # SHA-256 of every file heatmap, region and sweep-fdelta write on the FAST
 # grid, with the schemes whose outputs rest on numpy's float64 arithmetic
 # and the value path's own sin/cos alone (OptimizedFDA's search uses float32
@@ -666,6 +681,35 @@ def test_region_and_sweep_outputs_keep_their_golden_bytes(tmp_path, mode):
         for name in sorted(os.listdir(out))
     }
     assert digests == GOLDEN_SHA256[mode]
+
+
+# SHA-256 of sweep_n.csv and rate.csv on the FAST grid, with the schemes and
+# settings of GOLDEN_SHA256
+GOLDEN_SWEEP_N_AND_RATE_SHA256 = {
+    "fraction": {
+        "rate.csv": "e74d3a10cd1ede83a442b459bb9dc7dd816d58b55e027b69d2023b651761f93d",
+        "sweep_n.csv": "68e6e139d1f1b51f4667556304126c3daa3d3b3e21650f3cb9fbc22d9808716a",
+    },
+    "kl": {
+        "rate.csv": "f9bce1bfaabba5f0bdaa707e2bc14ac926b07496db3eeb8c749b47562ecbd456",
+        "sweep_n.csv": "d0f3a9e78ab3336dd91909280d99de4f9bb8047394240b04828a6d9bb486d1e4",
+    },
+}
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_SWEEP_N_AND_RATE_SHA256))
+def test_sweep_n_and_rate_outputs_keep_their_golden_bytes(tmp_path, mode):
+    out = tmp_path / "out"
+    args = FAST + [
+        "--set", "sweep.schemes=LPA,LinearFDA,RandomFDA", "--set", f"threshold.mode={mode}"
+    ]
+    for sub in ("sweep-n", "rate"):
+        assert run_cli([sub, "--out", str(out)] + args) == 0
+    digests = {
+        name: hashlib.sha256(read_bytes(out / name)).hexdigest()
+        for name in sorted(os.listdir(out))
+    }
+    assert digests == GOLDEN_SWEEP_N_AND_RATE_SHA256[mode]
 
 
 # ------------------------------------------------------- runtime error paths

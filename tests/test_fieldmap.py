@@ -617,6 +617,46 @@ def test_kl_column_span_matches_the_value_path(monkeypatch, extent, focus):
             assert region.n_noncovert > 0 and sum(evaluated) < 0.7 * grid.n_cells
 
 
+@pytest.mark.parametrize("grid", [FAR, GridSpec(-30.0, 28.0, -26.0, 32.0, 0.5)])
+@pytest.mark.parametrize("threads", [1, 3])
+def test_mask_path_evaluates_one_rectangle_per_map(monkeypatch, grid, threads):
+    # kl mode: every row block gets the same columns, and the blocks
+    # together evaluate the rectangle of the rows and columns v with
+    # cut(|v|) = q N / beta^2(|v|) <= reach, 1 + 8 (N + 4) eps64; both grids
+    # hold x = 0 and y = 0.  Fraction mode evaluates every cell
+    blocks = []
+    float32_block = fieldmap._float32_block
+
+    def recording(coeffs, nodes):
+        blocks.append(nodes.r.copy())
+        return float32_block(coeffs, nodes)
+
+    monkeypatch.setattr(fieldmap, "_float32_block", recording)
+    plan = random_fda_plan(G, 1e6, 1)
+    reach = 1.0 + 8.0 * (G.n_antennas + 4) * np.finfo(float).eps
+
+    def within(v):
+        with np.errstate(divide="ignore"):
+            cut = KL_Q * G.n_antennas / fieldmap._beta_sq(G.wavelength_m, np.abs(v))
+        live = np.flatnonzero(cut <= reach)
+        assert np.array_equal(live, np.arange(live[0], live[-1] + 1))
+        return v[live]
+
+    cols, rows = within(grid.xs()), within(grid.ys())
+    assert 0 < cols.size * rows.size < grid.n_cells
+    for mode, value, xs, ys in (
+        ("kl", KL_Q, cols, rows),
+        ("fraction", 0.1, grid.xs(), grid.ys()),
+    ):
+        blocks.clear()
+        noncovert_region(G, plan, BOB, grid, mode, value, n_threads=threads)
+        assert len(blocks) > 1 and {b.shape[1] for b in blocks} == {xs.size}
+        assert sum(b.size for b in blocks) == xs.size * ys.size
+        evaluated = np.sort(np.concatenate([b.ravel() for b in blocks]))
+        expected = np.sort(np.hypot(xs[None, :], ys[:, None]).ravel())
+        np.testing.assert_array_equal(evaluated, expected)
+
+
 @pytest.mark.parametrize(
     "parameter, values", [("n_antennas", (16, 64)), ("f_delta", (0.5e6, 2e6))]
 )
@@ -769,8 +809,9 @@ def test_value_path_drifts_from_libm_by_at_most_the_stated_delta(scheme):
 
 @pytest.mark.parametrize("size", [1, 3, 1000, 7000, 16385])
 def test_value_path_is_elementwise_across_chunks(size):
-    # 40401 nodes take three chunks; a few nodes take many elements per call,
-    # and 13 elements leave a last, smaller group
+    # 40401 nodes take one chunk (the large-grid test below crosses chunk
+    # edges); a few nodes take many elements per call, and 13 elements leave
+    # a last, smaller group
     g = ArrayGeometry(n_antennas=13, carrier_hz=3e9)
     coeffs = fieldmap._phase_coefficients(g, random_fda_plan(g, 1e6, 2), BOB)
     spec = GridSpec(0.0, 40.0, 0.0, 40.0, 0.2)
