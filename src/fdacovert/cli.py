@@ -1,6 +1,5 @@
 """Command-line experiment runner with bit-exact, reproducible outputs.
 
-Subcommands: heatmap, region, sweep-n, sweep-fdelta, rate, optimize, selftest.
 Every output file embeds a metadata header (config hash, seeds, version) and
 is written via a temp file + rename, with the mode open() would give it
 under the umask; a failed run removes the output directory if it made it
@@ -133,10 +132,13 @@ def _load_plan_file(path: str, g: ArrayGeometry) -> FrequencyPlan:
             data = json.load(fh)
         if not isinstance(data["offsets_hz"], list):
             raise TypeError("offsets_hz must be a list")
+        seed = data.get("seed")
+        if seed is not None and type(seed) is not int:  # bool is an int subclass
+            raise TypeError(f"seed must be an integer or null, got {seed!r}")
         plan = FrequencyPlan(
             offsets_hz=tuple(data["offsets_hz"]),
             scheme=data.get("scheme", SCHEME_OPTIMIZED),
-            seed=data.get("seed"),
+            seed=seed,
         )
         plan.check_length(g)
         return plan
@@ -290,8 +292,9 @@ def cmd_optimize(cfg: ExperimentConfig, out_dir: str) -> List[str]:
     J's optimum is the starting point, and the run's grid and threshold
     choose the plan (schemes.refine_for_region).  objective is J of the
     written offsets; start_index and iterations describe the J search (the
-    winning start and its step's trial count).  box_half_width refuses an
-    f_delta_hz that is not finite and > 0, as the plan route does.
+    winning start, and 1 for the one projected step each start takes).
+    box_half_width refuses an f_delta_hz that is not finite and > 0, as the
+    plan route does.
     """
     g = cfg.geometry()
     bob = cfg.bob()

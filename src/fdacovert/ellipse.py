@@ -29,11 +29,7 @@ from .geometry import SPEED_OF_LIGHT, ArrayGeometry, DomainError, PolarPoint
 FOUR_PI_SQ = 4.0 * math.pi**2
 _K4 = FOUR_PI_SQ / SPEED_OF_LIGHT**2
 
-# multi-start solver settings: one backtracked projected-gradient step per start
-_N_RANDOM_STARTS = 8
-_ARMIJO_C = 1e-4
-_BACKTRACK = 0.5
-_MAX_TRIALS = 61  # the last trial steps 2**-60 of the first
+_N_RANDOM_STARTS = 8  # the multi-start solver's random starts, after the two anchors
 
 
 class DegenerateEllipseError(ValueError):
@@ -168,56 +164,43 @@ class OptimizeResult:
     offsets_hz: tuple
     objective: float
     start_index: int
-    iterations: int
+    iterations: int = 1  # the one projected step each start takes
 
 
-def _ascent_from(g, bob, x0, box):
-    """One projected-gradient step from clip(x0), backtracked until J rises.
+def _search_from(g, bob, x0, box):
+    """One projected-gradient step from clip(x0), then a greedy vertex search.
 
-    The first trial steps box / max|grad| along the gradient; each rejected
-    trial halves it.  Returns (x, J, trials): the accepted trial, or clip(x0)
-    when a trial no longer moves or _MAX_TRIALS were rejected.  J is convex,
-    so the vertex search that follows (_polish_to_vertex) does the rest.
+    The step moves box / max|grad| along the gradient and is kept if J
+    rises.  J is convex in the offsets (its Hessian is psd by the
+    Cauchy-Schwarz inequality in the M0 seminorm), so J(x + m) >= J(x) +
+    grad.m, and grad.m > 0 for any move m the projected step makes: a
+    shorter step is guaranteed less, so none is tried.  Convexity also puts
+    every maximizer over the box at a vertex, so the kept point is snapped
+    to the nearest one (a zero coordinate takes its gradient's sign) and
+    single coordinates are flipped while J rises.  Returns the better of the
+    kept point and that vertex, with its J.
     """
     x = np.clip(np.asarray(x0, dtype=float), -box, box)
     j, grad = objective_and_gradient(g, bob, x)
     gmax = float(np.max(np.abs(grad)))
-    t = box / gmax if gmax > 0 else box
-    for trial in range(1, _MAX_TRIALS + 1):
-        x_new = np.clip(x + t * grad, -box, box)
-        move = x_new - x
-        j_new = objective_and_gradient(g, bob, x_new)[0]
-        if j_new >= j + _ARMIJO_C * float(grad @ move) and j_new > j:
-            return x_new, j_new, trial
-        if np.allclose(move, 0.0):
-            break
-        t *= _BACKTRACK
-    return x, j, trial
-
-
-def _polish_to_vertex(g, bob, x, box):
-    """Snap to the nearest box vertex and greedily flip single coordinates.
-
-    The objective is convex in the offsets (its Hessian is psd by the
-    Cauchy-Schwarz inequality in the M0 seminorm), so every maximizer over
-    the box sits at a vertex; greedy 1-flips refine the snapped pattern.
-    """
-    _, grad = objective_and_gradient(g, bob, x)
-    signs = np.where(x != 0.0, np.sign(x), np.where(grad >= 0, 1.0, -1.0))
-    v = box * signs
-    j = objective_and_gradient(g, bob, v)[0]
+    x_step = np.clip(x + (box / gmax if gmax > 0 else box) * grad, -box, box)
+    j_step, grad_step = objective_and_gradient(g, bob, x_step)
+    if j_step > j:
+        x, j, grad = x_step, j_step, grad_step
+    v = box * np.where(x != 0.0, np.sign(x), np.where(grad >= 0, 1.0, -1.0))
+    jv = objective_and_gradient(g, bob, v)[0]
     improved = True
     while improved:
         improved = False
         for i in range(len(v)):
             v[i] = -v[i]
             j_flip = objective_and_gradient(g, bob, v)[0]
-            if j_flip > j:
-                j = j_flip
+            if j_flip > jv:
+                jv = j_flip
                 improved = True
             else:
                 v[i] = -v[i]
-    return v, j
+    return (v, jv) if jv > j else (x, j)
 
 
 def anchor_starts(n_antennas: int, box_half_width_hz: float) -> list:
@@ -243,12 +226,12 @@ def optimize_offsets(
     Start set: the two anchor_starts (start 0 the zero plan, start 1 the
     clipped ramp), then 8 interior points drawn uniformly from the box by
     PCG64 seeded with seed (schemes.build_plan passes a plan's one seed,
-    which also draws a RandomFDA plan).  Each start takes one backtracked
+    which also draws a RandomFDA plan).  Each start takes one
     projected-gradient step, then a greedy vertex search (J is convex, so
-    its maxima over the box lie at vertices); iterations is the winning
-    start's trial count of that step.  Ties keep the lowest start index, so
-    results are reproducible for a fixed seed, and the returned objective
-    dominates the zero plan's.  N = 2 is refused: J is identically 0 there.
+    its maxima over the box lie at vertices); iterations is therefore
+    always 1.  Ties keep the lowest start index, so results are
+    reproducible for a fixed seed, and the returned objective dominates the
+    zero plan's.  N = 2 is refused: J is identically 0 there.
     """
     if g.n_antennas < 3:  # g1*g3 = g2^2 for every plan at N = 2
         raise DomainError(f"n_antennas must be >= 3 for J to rank plans, got {g.n_antennas}")
@@ -262,15 +245,7 @@ def optimize_offsets(
 
     best = None
     for idx, x0 in enumerate(starts):
-        x, j, trials = _ascent_from(g, bob, x0, box)
-        v, jv = _polish_to_vertex(g, bob, x, box)
-        if jv > j:
-            x, j = v, jv
+        x, j = _search_from(g, bob, x0, box)
         if best is None or j > best.objective:
-            best = OptimizeResult(
-                offsets_hz=tuple(float(v) for v in x),
-                objective=j,
-                start_index=idx,
-                iterations=trials,
-            )
+            best = OptimizeResult(tuple(float(v) for v in x), j, start_index=idx)
     return best

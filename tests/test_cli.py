@@ -401,6 +401,11 @@ def test_plan_outside_region_is_a_config_error(tmp_path, capsys, sub):
     [
         None, "{not json", '{"f_delta_hz": 1e6}', "[1, 2]", '{"offsets_hz": 5}',
         '{"offsets_hz": [0.0, 0.0]}', '{"offsets_hz": "00"}',
+        # a seed is written into every CSV header, so it must be an integer
+        pytest.param('{"offsets_hz": [%s], "seed": "7\\nx_m,y_m,non_covert\\n0,0,1"}'
+                     % ", ".join(["0.0"] * 64), id="seed-with-newlines"),
+        pytest.param('{"offsets_hz": [%s], "seed": [1, 2]}' % ", ".join(["0.0"] * 64),
+                     id="seed-list"),
     ],
 )
 def test_unreadable_or_malformed_plan_is_a_config_error(tmp_path, capsys, text):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdacovert import (
     SPEED_OF_LIGHT,
@@ -227,3 +229,70 @@ def test_area_decreases_when_objective_increases():
     area_low = ellipse_area(g_coefficients(G, plan_low, BOB), G.n_antennas, 0.1)
     area_high = ellipse_area(g_coefficients(G, plan_high, BOB), G.n_antennas, 0.1)
     assert area_high < area_low
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(3, 128),
+    carrier_hz=st.sampled_from((1e9, 3e9, 28e9)),
+    r_m=st.floats(0.5, 50.0),
+    theta_deg=st.floats(-80.0, 80.0),
+    log_box=st.floats(2.0, 7.0),
+    kind=st.sampled_from(("interior", "vertex", "edge")),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_projected_step_never_moves_without_raising_objective(
+    n, carrier_hz, r_m, theta_deg, log_box, kind, seed
+):
+    # J is convex, so J(x + m) >= J(x) + grad.m, and grad.m > 0 for any move
+    # m of the box-projected gradient step: the one step the search takes
+    # needs no line search
+    g = ArrayGeometry(n_antennas=n, carrier_hz=carrier_hz)
+    bob = PolarPoint(r_m, math.radians(theta_deg))
+    box = 10.0**log_box
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-box, box, n)
+    if kind == "vertex":
+        x = box * np.where(x >= 0, 1.0, -1.0)
+    elif kind == "edge":
+        wall = rng.random(n) < 0.5
+        x[wall] = box * np.sign(x[wall])
+    j, grad = objective_and_gradient(g, bob, x)
+    step = np.clip(x + (box / np.max(np.abs(grad))) * grad, -box, box)
+    assert np.array_equal(step, x) or objective_and_gradient(g, bob, step)[0] > j
+
+
+# (N, focus, box) -> (winning start, signs of the offsets over the box);
+# the same for seeds 0 and 4
+PINNED_SEARCH_FOCI = (PolarPoint(7.0711, math.radians(45.0)), PolarPoint(30.0, math.radians(-70.0)))
+PINNED_SEARCH = {
+    (3, 0, 5e5): (0, "-+-"),
+    (3, 0, 4e6): (0, "-+-"),
+    (3, 1, 5e5): (0, "-+-"),
+    (3, 1, 4e6): (0, "-+-"),
+    (8, 0, 5e5): (0, "--++++--"),
+    (8, 0, 4e6): (0, "--++++--"),
+    (8, 1, 5e5): (0, "--++++--"),
+    (8, 1, 4e6): (0, "--++++--"),
+    (16, 0, 5e5): (0, "---++++++++++---"),
+    (16, 0, 4e6): (0, "----++++++++----"),
+    (16, 1, 5e5): (1, "----++++++++----"),
+    (16, 1, 4e6): (1, "----++++++++----"),
+    (64, 0, 5e5): (0, "-" * 14 + "+" * 36 + "-" * 14),
+    (64, 0, 4e6): (0, "-" * 14 + "+" * 36 + "-" * 14),
+    (64, 1, 5e5): (0, "-" * 14 + "+" * 36 + "-" * 14),
+    (64, 1, 4e6): (1, "-" * 15 + "+" * 34 + "-" * 15),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+@pytest.mark.parametrize("key", sorted(PINNED_SEARCH))
+def test_optimize_offsets_keeps_its_pinned_vertices(key, seed):
+    n, focus, box = key
+    start_index, signs = PINNED_SEARCH[key]
+    g = ArrayGeometry(n_antennas=n, carrier_hz=3e9)
+    bob = PINNED_SEARCH_FOCI[focus]
+    res = optimize_offsets(g, bob, box, seed=seed)
+    assert res.offsets_hz == tuple(box if s == "+" else -box for s in signs)
+    assert res.start_index == start_index
+    assert res.objective == objective_and_gradient(g, bob, np.asarray(res.offsets_hz))[0]
