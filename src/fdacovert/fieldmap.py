@@ -20,20 +20,27 @@ Two paths form phases with channel._element_phases, as the region search does:
   sweep and monte_carlo_rate use it.  In kl mode it evaluates one
   rectangle per map, the rows and columns within the reach radius r*
   derived in noncovert_region: the square of side r* on the default grid.
+
+FDACOVERT_THREADS (resolve_threads) sets how many worker processes a sweep
+runs its plan searches and masks on, each mask at one thread, and elsewhere
+how many threads evaluate a map's row blocks.  No output depends on it.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
+import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .channel import (
+    SCHEME_OPTIMIZED,
     SCHEME_RANDOM,
     FrequencyPlan,
     LinkBudget,
@@ -755,6 +762,71 @@ def lattice_errors(g: ArrayGeometry, plan: FrequencyPlan, bob: PolarPoint, spec:
     return float32, worst / _EPS64
 
 
+def _sweep_workers(n_jobs: int) -> int:
+    """How many worker processes sweep runs n_jobs jobs on: never more than the jobs."""
+    return min(resolve_threads(), n_jobs)
+
+
+def _sweep_pool(workers: int):
+    """A pool of that many forked worker processes, or None to run the jobs here.
+
+    None for one worker, where fork is missing, and while another thread
+    runs: a forked child gets a copy of every lock, held or not, and only
+    the forking thread.  A forked worker starts with the parent's modules,
+    where a spawned one would import numpy and this package again.
+    multiprocessing is imported only here, as its import costs ~15 ms.
+    """
+    if workers < 2 or threading.active_count() > 1:
+        return None
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    from concurrent.futures import ProcessPoolExecutor
+
+    # with fork, every worker is started at the first submit, before the
+    # pool's own threads
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+
+
+def _sweep_job(task: str, args: tuple):
+    """One job of sweep: build_plan(*args) ("plan"), or a mask's area fraction ("mask").
+
+    The mask is noncovert_region(*args) at one thread.  Returns (warnings,
+    result): each warning the job issued, as (message, filename, lineno),
+    and its result, or the exception it raised, so that _job_result issues
+    the warnings and then raises the error in the caller's process.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            if task == "plan":
+                result = build_plan(*args)
+            else:
+                result = noncovert_region(*args, 1).area_fraction
+        except Exception as exc:  # noqa: BLE001 - raised again by _job_result
+            result = exc
+    return [(w.message, w.filename, w.lineno) for w in caught], result
+
+
+def _job_result(outcome):
+    """The result of a _sweep_job, after issuing its warnings here; raises its error.
+
+    Each warning goes through this process's filters as from the line that
+    issued it, with its module's registry, so "default" shows it once.
+    """
+    caught, result = outcome
+    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
+    for message, filename, lineno in caught:
+        module = modules.get(filename)
+        registry = None if module is None else vars(module).setdefault("__warningregistry__", {})
+        name = None if module is None else module.__name__
+        warnings.warn_explicit(message, type(message), filename, lineno, name, registry)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 def sweep(
     parameter: str,
     values: Sequence[float],
@@ -781,6 +853,15 @@ def sweep(
     Every plan depends only on its own row's inputs, so equal rows of two
     sweeps are equal.  A plan met again, such as LPA's at every increment,
     reuses its first area fraction.
+
+    The LPA, LinearFDA and RandomFDA plans take microseconds and are built
+    here.  The OptimizedFDA plans, each a J and a region search, and one
+    mask per distinct plan run as jobs on min(resolve_threads(), jobs)
+    worker processes (_sweep_pool), each mask at one thread; a plan's mask
+    is submitted as soon as the plan is known, so the searches overlap the
+    masks.  The masks do not depend on the thread count, so neither does
+    any row.  The rows are then put together in row order, which issues
+    each job's warnings and raises its error as a serial sweep would.
     """
     if parameter not in ("n_antennas", "f_delta"):
         raise DomainError(f"unknown sweep parameter {parameter!r}")
@@ -789,8 +870,7 @@ def sweep(
     if SCHEME_RANDOM in scheme_names and not seeds:
         raise DomainError("RandomFDA rows need at least one seed")
     target = RegionSpec(grid, threshold_mode, threshold_value)
-    fraction_of = {}  # (geometry, offsets) -> area fraction
-    rows = []
+    runs, plan_args = [], []  # runs: (scheme, value, indices of its plans in plan_args)
     for value in values:
         if parameter == "n_antennas":
             g_v = replace(g, n_antennas=int(value))
@@ -800,29 +880,70 @@ def sweep(
             f_v = float(value)
         for scheme in scheme_names:
             run_seeds = list(seeds) if scheme == SCHEME_RANDOM else [seed]
+            first = len(plan_args)
+            plan_args += [
+                (scheme, g_v, bob, f_v, s, box_half_width_hz, target) for s in run_seeds
+            ]
+            runs.append((scheme, float(value), range(first, len(plan_args))))
+    plans = {  # plan index -> the outcome of its _sweep_job
+        i: _sweep_job("plan", args)
+        for i, args in enumerate(plan_args) if args[0] != SCHEME_OPTIMIZED
+    }
+    searches = [i for i, args in enumerate(plan_args) if args[0] == SCHEME_OPTIMIZED]
+
+    def key_of(i):  # (geometry, offsets) of a plan, None if its build failed
+        plan = plans[i][1]
+        return None if isinstance(plan, Exception) else (plan_args[i][1], plan.offsets_hz)
+
+    known = {key_of(i) for i in plans} - {None}
+    pool = _sweep_pool(_sweep_workers(len(searches) + len(known)))
+
+    def submit(task, args):
+        if pool is not None:
+            return pool.submit(_sweep_job, task, args)
+        future = Future()
+        future.set_result(_sweep_job(task, args))
+        return future
+
+    masks = {}  # (geometry, offsets) -> future of its mask job
+
+    def measure(i):
+        key = key_of(i)
+        if key is not None and key not in masks:
+            args = (key[0], plans[i][1], bob, grid, threshold_mode, threshold_value)
+            masks[key] = submit("mask", args)
+
+    try:
+        pending = {submit("plan", plan_args[i]): i for i in searches}
+        for i in plans:
+            measure(i)
+        for future in as_completed(pending):
+            plans[pending[future]] = future.result()
+            measure(pending[future])
+        fraction_of = {}  # (geometry, offsets) -> area fraction
+        rows = []
+        for scheme, value, indices in runs:
             fractions = []
-            for run_seed in run_seeds:
-                plan = build_plan(
-                    scheme, g_v, bob, f_v, seed=run_seed,
-                    box_half_width_hz=box_half_width_hz, region=target,
-                )
-                key = (g_v, plan.offsets_hz)
+            for i in indices:
+                _job_result(plans[i])  # issues the build's warnings, raises its error
+                key = key_of(i)
                 if key not in fraction_of:
-                    fraction_of[key] = noncovert_region(
-                        g_v, plan, bob, grid, threshold_mode, threshold_value
-                    ).area_fraction
+                    fraction_of[key] = _job_result(masks[key].result())
                 fractions.append(fraction_of[key])
             arr = np.asarray(fractions)
             rows.append(
                 SweepRow(
                     scheme=scheme,
-                    value=float(value),
+                    value=value,
                     mean_area_fraction=float(arr.mean()),
                     std_area_fraction=float(arr.std()),
                     mean_area_m2=float(arr.mean() * grid.n_cells * grid.step_m**2),
-                    n_seeds=len(run_seeds),
+                    n_seeds=len(indices),
                 )
             )
+    finally:
+        if pool is not None:  # joins every worker; queued jobs are dropped on an error
+            pool.shutdown(cancel_futures=True)
     return rows
 
 

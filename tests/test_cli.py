@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import stat
 import subprocess
@@ -599,6 +600,23 @@ def test_heatmap_bytes_do_not_depend_on_fdacovert_threads(tmp_path, monkeypatch)
     assert outputs["1"] == outputs["3"]
 
 
+@pytest.mark.parametrize("mode", ["fraction", "kl"])
+def test_sweep_bytes_do_not_depend_on_fdacovert_threads(tmp_path, monkeypatch, mode):
+    # one thread runs every job in this process, three run them on three
+    # worker processes
+    outputs = {}
+    for env in ("1", "3"):
+        monkeypatch.setenv("FDACOVERT_THREADS", env)
+        out = tmp_path / env
+        for sub in ("sweep-n", "sweep-fdelta"):
+            args = [sub, "--out", str(out), "--set", f"threshold.mode={mode}"] + FAST
+            assert run_cli(args) == 0
+        outputs[env] = {name: read_bytes(out / name) for name in sorted(os.listdir(out))}
+    assert sorted(outputs["1"]) == ["sweep_fdelta.csv", "sweep_n.csv"]
+    assert b"OptimizedFDA" in outputs["1"]["sweep_n.csv"]
+    assert outputs["1"] == outputs["3"]
+
+
 def test_heatmap_holds_one_map_at_a_time(tmp_path, monkeypatch):
     # each map is freed before the next is built, so heatmap's peak memory
     # holds one map whatever the number of schemes
@@ -739,6 +757,23 @@ def test_fraction_region_with_focus_off_grid_exits_2(tmp_path, capsys):
     with pytest.warns(UserWarning, match="outside the grid"):
         assert run_cli(args) == 0
     assert os.path.exists(os.path.join(out, "region_LPA.csv"))
+
+
+def test_sweep_with_focus_off_grid_reports_from_worker_processes(tmp_path, capsys, monkeypatch):
+    # each of the three N values' masks runs in its own worker; its error and
+    # its warning reach this process as if the sweep had run here
+    monkeypatch.setenv("FDACOVERT_THREADS", "3")
+    out = str(tmp_path / "out")
+    with pytest.warns(UserWarning, match="outside the grid"):
+        assert run_cli(["sweep-n", "--out", out] + OFF_GRID) == 2
+    assert not multiprocessing.active_children()  # every worker is joined
+    err = capsys.readouterr().err
+    assert "error:" in err and "focus" in err
+    assert not os.path.exists(out) or not os.listdir(out)
+    args = ["sweep-n", "--out", out, "--set", "threshold.mode=kl"] + OFF_GRID
+    with pytest.warns(UserWarning, match="outside the grid"):
+        assert run_cli(args) == 0
+    assert os.listdir(out) == ["sweep_n.csv"]
 
 
 def test_heatmap_with_focus_off_grid_exits_2(tmp_path, capsys):

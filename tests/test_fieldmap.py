@@ -1,6 +1,8 @@
 """Grid engine: beampattern maps, non-covert regions, sweeps, Monte Carlo."""
 
 import math
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -496,6 +498,7 @@ def test_float32_bound_holds_out_to_the_far_corner(scheme, n):
 
 
 def test_sweep_measures_each_distinct_plan_once(monkeypatch):
+    monkeypatch.setenv("FDACOVERT_THREADS", "1")
     measured = []
     noncovert = fieldmap.noncovert_region
 
@@ -521,6 +524,42 @@ def test_sweep_measures_each_distinct_plan_once(monkeypatch):
         assert (row.mean_area_fraction, row.std_area_fraction) == (
             float(fractions.mean()), float(fractions.std())
         )
+
+
+def test_sweep_measures_each_distinct_plan_once_across_processes(monkeypatch, tmp_path):
+    # the masks run in forked workers, which log each call to a file
+    monkeypatch.setenv("FDACOVERT_THREADS", "3")
+    log = tmp_path / "measured.txt"
+    noncovert = fieldmap.noncovert_region
+
+    def counting(g, plan, *args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {g.n_antennas} {plan.offsets_hz}\n")
+        return noncovert(g, plan, *args)
+
+    monkeypatch.setattr(fieldmap, "noncovert_region", counting)
+    seeds = (0, 1)
+    rows = sweep(
+        "f_delta", (0.5e6, 1e6, 2e6), ("LPA", "LinearFDA", "RandomFDA"), G, BOB, 1e6,
+        SMALL, seeds=seeds,
+    )
+    pids, measured = zip(*(line.split(" ", 1) for line in log.read_text().splitlines()))
+    assert len(measured) == len(set(measured)) == 1 + 3 + 3 * len(seeds)
+    assert str(os.getpid()) not in pids
+    assert not multiprocessing.active_children()  # every worker is joined
+    monkeypatch.setenv("FDACOVERT_THREADS", "1")
+    monkeypatch.setattr(fieldmap, "noncovert_region", noncovert)
+    assert rows == sweep(
+        "f_delta", (0.5e6, 1e6, 2e6), ("LPA", "LinearFDA", "RandomFDA"), G, BOB, 1e6,
+        SMALL, seeds=seeds,
+    )
+
+
+def test_sweep_never_starts_more_workers_than_jobs(monkeypatch):
+    monkeypatch.setenv("FDACOVERT_THREADS", "100000")
+    assert fieldmap._sweep_workers(7) == 7
+    monkeypatch.setenv("FDACOVERT_THREADS", "2")
+    assert fieldmap._sweep_workers(7) == 2
 
 
 # ------------------------------------------- kl mode: the reach radius r*
