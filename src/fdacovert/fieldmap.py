@@ -784,8 +784,8 @@ def _sweep_pool(workers: int):
         return None
     from concurrent.futures import ProcessPoolExecutor
 
-    # with fork, every worker is started at the first submit, before the
-    # pool's own threads
+    # a fork pool starts every worker at its first submit, before its own
+    # threads (CPython issue 90622)
     return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
 
 
