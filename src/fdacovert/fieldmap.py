@@ -33,7 +33,7 @@ import os
 import sys
 import threading
 import warnings
-from concurrent.futures import Future, ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -789,28 +789,40 @@ def _sweep_pool(workers: int):
     return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
 
 
-def _sweep_job(task: str, args: tuple):
-    """One job of sweep: build_plan(*args) ("plan"), or a mask's area fraction ("mask").
+def _recorded(fn, *args):
+    """fn(*args) as (warnings, result), for _job_result to replay in the caller's process.
 
-    The mask is noncovert_region(*args) at one thread.  Returns (warnings,
-    result): each warning the job issued, as (message, filename, lineno),
-    and its result, or the exception it raised, so that _job_result issues
-    the warnings and then raises the error in the caller's process.
+    Each warning the call issued is kept as (message, filename, lineno);
+    result is what it returned or the exception it raised.
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            if task == "plan":
-                result = build_plan(*args)
-            else:
-                result = noncovert_region(*args, 1).area_fraction
+            result = fn(*args)
         except Exception as exc:  # noqa: BLE001 - raised again by _job_result
             result = exc
     return [(w.message, w.filename, w.lineno) for w in caught], result
 
 
+def _sweep_job(args: tuple, plan=None):
+    """One job of sweep: the area fraction of plan's mask at one thread, _recorded.
+
+    args are build_plan's; with no plan the job first builds build_plan(*args),
+    whose warnings come before the mask's and whose error ends the job.
+    """
+    g, bob, target = args[1], args[2], args[-1]
+
+    def area_fraction():
+        built = build_plan(*args) if plan is None else plan
+        return noncovert_region(
+            g, built, bob, target.grid, target.threshold_mode, target.threshold_value, 1
+        ).area_fraction
+
+    return _recorded(area_fraction)
+
+
 def _job_result(outcome):
-    """The result of a _sweep_job, after issuing its warnings here; raises its error.
+    """The result of a _recorded call, after issuing its warnings here; raises its error.
 
     Each warning goes through this process's filters as from the line that
     issued it, with its module's registry, so "default" shows it once.
@@ -851,17 +863,16 @@ def sweep(
     this grid and threshold: J gives its starting point and floor, the
     measured region chooses it (see schemes.optimized_fda_plan).
     Every plan depends only on its own row's inputs, so equal rows of two
-    sweeps are equal.  A plan met again, such as LPA's at every increment,
-    reuses its first area fraction.
+    sweeps are equal.
 
     The LPA, LinearFDA and RandomFDA plans take microseconds and are built
-    here.  The OptimizedFDA plans, each a J and a region search, and one
-    mask per distinct plan run as jobs on min(resolve_threads(), jobs)
-    worker processes (_sweep_pool), each mask at one thread; a plan's mask
-    is submitted as soon as the plan is known, so the searches overlap the
-    masks.  The masks do not depend on the thread count, so neither does
-    any row.  The rows are then put together in row order, which issues
-    each job's warnings and raises its error as a serial sweep would.
+    here; each distinct one, such as LPA's at every increment, is measured
+    once.  Each OptimizedFDA plan, a J and a region search, is measured in
+    the job that searched it.  One map runs these jobs on
+    min(resolve_threads(), jobs) worker processes (_sweep_pool), the
+    searches first, each mask at one thread, so no row depends on the
+    thread count.  The rows are then put together in row order, which
+    issues each job's warnings and raises its error as a serial sweep would.
     """
     if parameter not in ("n_antennas", "f_delta"):
         raise DomainError(f"unknown sweep parameter {parameter!r}")
@@ -885,65 +896,45 @@ def sweep(
                 (scheme, g_v, bob, f_v, s, box_half_width_hz, target) for s in run_seeds
             ]
             runs.append((scheme, float(value), range(first, len(plan_args))))
-    plans = {  # plan index -> the outcome of its _sweep_job
-        i: _sweep_job("plan", args)
-        for i, args in enumerate(plan_args) if args[0] != SCHEME_OPTIMIZED
-    }
-    searches = [i for i, args in enumerate(plan_args) if args[0] == SCHEME_OPTIMIZED]
-
-    def key_of(i):  # (geometry, offsets) of a plan, None if its build failed
-        plan = plans[i][1]
-        return None if isinstance(plan, Exception) else (plan_args[i][1], plan.offsets_hz)
-
-    known = {key_of(i) for i in plans} - {None}
-    pool = _sweep_pool(_sweep_workers(len(searches) + len(known)))
-
-    def submit(task, args):
-        if pool is not None:
-            return pool.submit(_sweep_job, task, args)
-        future = Future()
-        future.set_result(_sweep_job(task, args))
-        return future
-
-    masks = {}  # (geometry, offsets) -> future of its mask job
-
-    def measure(i):
-        key = key_of(i)
-        if key is not None and key not in masks:
-            args = (key[0], plans[i][1], bob, grid, threshold_mode, threshold_value)
-            masks[key] = submit("mask", args)
-
+    # job key -> args: each OptimizedFDA plan's index first, then each distinct
+    # (geometry, offsets) of a plan built here
+    jobs = {i: args for i, args in enumerate(plan_args) if args[0] == SCHEME_OPTIMIZED}
+    plans = {i: _recorded(build_plan, *args) for i, args in enumerate(plan_args) if i not in jobs}
+    given, key_of = {}, {}  # job key -> plan built here; plan index -> its job key
+    for i, (_, plan) in plans.items():
+        if not isinstance(plan, Exception):
+            key_of[i] = (plan_args[i][1], plan.offsets_hz)
+            jobs.setdefault(key_of[i], plan_args[i])
+            given.setdefault(key_of[i], plan)
+    pool = _sweep_pool(_sweep_workers(len(jobs)))
     try:
-        pending = {submit("plan", plan_args[i]): i for i in searches}
-        for i in plans:
-            measure(i)
-        for future in as_completed(pending):
-            plans[pending[future]] = future.result()
-            measure(pending[future])
-        fraction_of = {}  # (geometry, offsets) -> area fraction
-        rows = []
-        for scheme, value, indices in runs:
-            fractions = []
-            for i in indices:
-                _job_result(plans[i])  # issues the build's warnings, raises its error
-                key = key_of(i)
-                if key not in fraction_of:
-                    fraction_of[key] = _job_result(masks[key].result())
-                fractions.append(fraction_of[key])
-            arr = np.asarray(fractions)
-            rows.append(
-                SweepRow(
-                    scheme=scheme,
-                    value=value,
-                    mean_area_fraction=float(arr.mean()),
-                    std_area_fraction=float(arr.std()),
-                    mean_area_m2=float(arr.mean() * grid.n_cells * grid.step_m**2),
-                    n_seeds=len(indices),
-                )
-            )
+        run = map if pool is None else pool.map
+        outcomes = dict(zip(jobs, run(_sweep_job, jobs.values(), map(given.get, jobs))))
     finally:
-        if pool is not None:  # joins every worker; queued jobs are dropped on an error
+        if pool is not None:  # joins every worker
             pool.shutdown(cancel_futures=True)
+    fraction_of = {}  # job key -> area fraction
+    rows = []
+    for scheme, value, indices in runs:
+        fractions = []
+        for i in indices:
+            if i in plans:
+                _job_result(plans[i])  # issues the build's warnings, raises its error
+            job = key_of.get(i, i)
+            if job not in fraction_of:
+                fraction_of[job] = _job_result(outcomes[job])
+            fractions.append(fraction_of[job])
+        arr = np.asarray(fractions)
+        rows.append(
+            SweepRow(
+                scheme=scheme,
+                value=value,
+                mean_area_fraction=float(arr.mean()),
+                std_area_fraction=float(arr.std()),
+                mean_area_m2=float(arr.mean() * grid.n_cells * grid.step_m**2),
+                n_seeds=len(indices),
+            )
+        )
     return rows
 
 

@@ -776,6 +776,29 @@ def test_sweep_with_focus_off_grid_reports_from_worker_processes(tmp_path, capsy
     assert os.listdir(out) == ["sweep_n.csv"]
 
 
+@pytest.mark.parametrize("threads", ["1", "3"])
+@pytest.mark.parametrize(
+    ("sub", "values", "message"),
+    [
+        ("sweep-fdelta", "sweep.f_delta_values_hz=0,-1e6",
+         "f_delta_hz must be finite and > 0, got 0.0"),
+        ("sweep-n", "sweep.n_values=2,16", "n_antennas must be >= 3"),
+    ],
+)
+def test_sweep_reports_the_first_error_in_row_order(
+    tmp_path, capsys, monkeypatch, threads, sub, values, message
+):
+    # the first row's OptimizedFDA search fails (in a worker process at three
+    # threads); the second row's errors, such as LinearFDA's at a negative
+    # increment, come later in row order and are never reported in its place
+    monkeypatch.setenv("FDACOVERT_THREADS", threads)
+    out = tmp_path / "out"
+    assert run_cli([sub, "--out", str(out)] + FAST + ["--set", values]) == 2
+    err = capsys.readouterr().err
+    assert message in err and ">= 0," not in err
+    assert not out.exists() or not os.listdir(out)
+
+
 def test_heatmap_with_focus_off_grid_exits_2(tmp_path, capsys):
     out = str(tmp_path / "out")
     with pytest.warns(UserWarning, match="outside the grid"):
@@ -798,6 +821,26 @@ def test_cli_runs_without_scipy(tmp_path):
         for sub in ("optimize", "rate", "selftest"):
             assert main([sub, "--out", {str(tmp_path)!r}] + {FAST!r}) == 0, sub
         loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+        assert not loaded, loaded
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # only a sweep that starts worker processes imports multiprocessing
+    # (~15 ms), so the other subcommands' start-up does not pay for it
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = textwrap.dedent(
+        """
+        import sys
+        import fdacovert.cli
+        loaded = [m for m in sys.modules if m == "concurrent.futures.process"
+                  or m == "multiprocessing" or m.startswith("multiprocessing.")]
         assert not loaded, loaded
         """
     )

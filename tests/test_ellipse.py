@@ -25,6 +25,7 @@ from fdacovert import (
     psi_vector,
     random_fda_plan,
 )
+from fdacovert.ellipse import _search_from, anchor_starts
 
 G = ArrayGeometry(n_antennas=64, carrier_hz=3e9)
 BOB = PolarPoint(7.0711, math.radians(45.0))
@@ -296,3 +297,17 @@ def test_optimize_offsets_keeps_its_pinned_vertices(key, seed):
     assert res.offsets_hz == tuple(box if s == "+" else -box for s in signs)
     assert res.start_index == start_index
     assert res.objective == objective_and_gradient(g, bob, np.asarray(res.offsets_hz))[0]
+
+
+@pytest.mark.parametrize(("seed", "start_index"), [(0, 3), (4, 2)])
+def test_a_random_start_can_beat_both_anchors(seed, start_index):
+    # at small N a random start can reach a vertex neither anchor's search
+    # reaches, so the random starts stay
+    g = ArrayGeometry(n_antennas=6, carrier_hz=3e9)
+    bob = PolarPoint(10.0, math.radians(30.0))
+    box = 1e6
+    anchors = [_search_from(g, bob, x0, box)[1] for x0 in anchor_starts(6, box)]
+    res = optimize_offsets(g, bob, box, seed=seed)
+    assert res.start_index == start_index
+    assert max(anchors) == pytest.approx(52.741, abs=1e-3)
+    assert res.objective == pytest.approx(54.032, abs=1e-3)

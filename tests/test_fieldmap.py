@@ -3,6 +3,7 @@
 import math
 import multiprocessing
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -553,6 +554,33 @@ def test_sweep_measures_each_distinct_plan_once_across_processes(monkeypatch, tm
         "f_delta", (0.5e6, 1e6, 2e6), ("LPA", "LinearFDA", "RandomFDA"), G, BOB, 1e6,
         SMALL, seeds=seeds,
     )
+
+
+def test_sweep_issues_its_warnings_in_serial_order_across_processes(monkeypatch):
+    # Rayleigh extrapolation at N=16 and offset strain at N=64, from the jobs
+    # of plans built in this process and of OptimizedFDA's searches
+    pools = []
+    make_pool = fieldmap._sweep_pool
+
+    def recording(workers):
+        pools.append(make_pool(workers))
+        return pools[-1]
+
+    monkeypatch.setattr(fieldmap, "_sweep_pool", recording)
+    grid = GridSpec(0.0, 12.0, 0.0, 12.0, 0.5)
+    schemes = ("LPA", "LinearFDA", "RandomFDA", "OptimizedFDA")
+    issued = {}
+    for threads in ("1", "3"):
+        monkeypatch.setenv("FDACOVERT_THREADS", threads)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sweep("n_antennas", (16, 64), schemes, G, BOB, 1e6, grid, seeds=(0, 1))
+        issued[threads] = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+    assert pools[0] is None and pools[1] is not None  # one thread forks no worker
+    # the N=16 rows' five Rayleigh warnings, then the N=64 rows' three strain warnings
+    rayleigh = ["Rayleigh" in message for _, message, _, _ in issued["1"]]
+    assert rayleigh == [True] * 5 + [False] * 3
+    assert issued["1"] == issued["3"]
 
 
 def test_sweep_never_starts_more_workers_than_jobs(monkeypatch):
