@@ -62,7 +62,7 @@ from .geometry import (
     polar_to_cartesian,
     rayleigh_distance,
 )
-from .schemes import RegionSpec, build_plan
+from .schemes import RegionSpec, box_half_width, build_plan
 
 THREADS_ENV_VAR = "FDACOVERT_THREADS"
 
@@ -804,21 +804,23 @@ def _recorded(fn, *args):
     return [(w.message, w.filename, w.lineno) for w in caught], result
 
 
-def _sweep_job(args: tuple, plan=None):
-    """One job of sweep: the area fraction of plan's mask at one thread, _recorded.
+def _sweep_job(job: tuple) -> tuple:
+    """One job of sweep, job = (build_plan args, plan): (build, mask), each _recorded.
 
-    args are build_plan's; with no plan the job first builds build_plan(*args),
-    whose warnings come before the mask's and whose error ends the job.
+    build is build_plan(*args), made here when plan is None and None
+    otherwise; mask is the area fraction of the plan's mask at one thread,
+    None if the build failed.
     """
+    args, plan = job
+    build = None
+    if plan is None:
+        build = _recorded(build_plan, *args)
+        plan = build[1]
+        if isinstance(plan, Exception):
+            return build, None
     g, bob, target = args[1], args[2], args[-1]
-
-    def area_fraction():
-        built = build_plan(*args) if plan is None else plan
-        return noncovert_region(
-            g, built, bob, target.grid, target.threshold_mode, target.threshold_value, 1
-        ).area_fraction
-
-    return _recorded(area_fraction)
+    spec = (target.grid, target.threshold_mode, target.threshold_value)
+    return build, _recorded(lambda: noncovert_region(g, plan, bob, *spec, 1).area_fraction)
 
 
 def _job_result(outcome):
@@ -867,8 +869,9 @@ def sweep(
 
     The LPA, LinearFDA and RandomFDA plans take microseconds and are built
     here; each distinct one, such as LPA's at every increment, is measured
-    once.  Each OptimizedFDA plan, a J and a region search, is measured in
-    the job that searched it.  One map runs these jobs on
+    once.  Each OptimizedFDA plan, a J and a region search, is searched
+    once per distinct geometry, seed and box (a box_half_width_hz fixes it
+    at every increment) and measured in that job.  One map runs these jobs on
     min(resolve_threads(), jobs) worker processes (_sweep_pool), the
     searches first, each mask at one thread, so no row depends on the
     thread count.  The rows are then put together in row order, which
@@ -896,20 +899,25 @@ def sweep(
                 (scheme, g_v, bob, f_v, s, box_half_width_hz, target) for s in run_seeds
             ]
             runs.append((scheme, float(value), range(first, len(plan_args))))
-    # job key -> args: each OptimizedFDA plan's index first, then each distinct
-    # (geometry, offsets) of a plan built here
-    jobs = {i: args for i, args in enumerate(plan_args) if args[0] == SCHEME_OPTIMIZED}
-    plans = {i: _recorded(build_plan, *args) for i, args in enumerate(plan_args) if i not in jobs}
-    given, key_of = {}, {}  # job key -> plan built here; plan index -> its job key
-    for i, (_, plan) in plans.items():
+    # An OptimizedFDA plan is decided by its geometry, seed and box, on which
+    # bob and the region are the sweep's own and f_delta_hz acts only through
+    # schemes.box_half_width; an increment that fails its check is its own key
+    key_of = {
+        i: (a[1], a[4], _recorded(box_half_width, a[3], a[5])[1])
+        for i, a in enumerate(plan_args) if a[0] == SCHEME_OPTIMIZED
+    }
+    # job key -> (build_plan args, plan): a search (plan None) per distinct
+    # OptimizedFDA key first, then a mask per distinct (geometry, offsets) of
+    # the plans built here
+    jobs = {key: (plan_args[i], None) for i, key in key_of.items()}
+    built = {i: _recorded(build_plan, *a) for i, a in enumerate(plan_args) if i not in key_of}
+    for i, (_, plan) in built.items():
         if not isinstance(plan, Exception):
             key_of[i] = (plan_args[i][1], plan.offsets_hz)
-            jobs.setdefault(key_of[i], plan_args[i])
-            given.setdefault(key_of[i], plan)
+            jobs.setdefault(key_of[i], (plan_args[i], plan))
     pool = _sweep_pool(_sweep_workers(len(jobs)))
     try:
-        run = map if pool is None else pool.map
-        outcomes = dict(zip(jobs, run(_sweep_job, jobs.values(), map(given.get, jobs))))
+        outcomes = dict(zip(jobs, (map if pool is None else pool.map)(_sweep_job, jobs.values())))
     finally:
         if pool is not None:  # joins every worker
             pool.shutdown(cancel_futures=True)
@@ -918,12 +926,11 @@ def sweep(
     for scheme, value, indices in runs:
         fractions = []
         for i in indices:
-            if i in plans:
-                _job_result(plans[i])  # issues the build's warnings, raises its error
-            job = key_of.get(i, i)
-            if job not in fraction_of:
-                fraction_of[job] = _job_result(outcomes[job])
-            fractions.append(fraction_of[job])
+            # the build's warnings at every use, raising its error; the mask's at the first
+            _job_result(built[i] if i in built else outcomes[key_of[i]][0])
+            if key_of[i] not in fraction_of:
+                fraction_of[key_of[i]] = _job_result(outcomes[key_of[i]][1])
+            fractions.append(fraction_of[key_of[i]])
         arr = np.asarray(fractions)
         rows.append(
             SweepRow(

@@ -527,6 +527,38 @@ def test_sweep_measures_each_distinct_plan_once(monkeypatch):
         )
 
 
+def test_sweep_searches_and_measures_a_fixed_box_plan_once(monkeypatch):
+    # with box_half_width_hz the OptimizedFDA plan no longer depends on the
+    # increment, which must still be finite and > 0
+    monkeypatch.setenv("FDACOVERT_THREADS", "1")
+    searched, measured = [], []
+    build, noncovert = fieldmap.build_plan, fieldmap.noncovert_region
+
+    def counting_build(scheme, *args):
+        searched.append(scheme)
+        return build(scheme, *args)
+
+    def counting(g, plan, *args):
+        measured.append(plan.scheme)
+        return noncovert(g, plan, *args)
+
+    monkeypatch.setattr(fieldmap, "build_plan", counting_build)
+    monkeypatch.setattr(fieldmap, "noncovert_region", counting)
+    schemes = ("LPA", "LinearFDA", "OptimizedFDA")
+    rows = sweep(
+        "f_delta", (0.5e6, 1e6, 2e6), schemes, G, BOB, 1e6, SMALL, box_half_width_hz=2e5
+    )
+    assert searched.count("OptimizedFDA") == measured.count("OptimizedFDA") == 1
+    assert len(measured) == 1 + 3 + 1
+    optimized = [row for row in rows if row.scheme == "OptimizedFDA"]
+    assert len(optimized) == 3 and all(row == replace(optimized[0], value=row.value)
+                                       for row in optimized)
+    plan = build("OptimizedFDA", G, BOB, 1e6, 0, 2e5, RegionSpec(SMALL, "fraction", 0.1))
+    assert optimized[0].mean_area_fraction == noncovert(G, plan, BOB, SMALL).area_fraction
+    with pytest.raises(DomainError, match="f_delta_hz must be finite and > 0, got 0.0"):
+        sweep("f_delta", (1e6, 0.0), schemes, G, BOB, 1e6, SMALL, box_half_width_hz=2e5)
+
+
 def test_sweep_measures_each_distinct_plan_once_across_processes(monkeypatch, tmp_path):
     # the masks run in forked workers, which log each call to a file
     monkeypatch.setenv("FDACOVERT_THREADS", "3")
