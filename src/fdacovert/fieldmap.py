@@ -901,7 +901,8 @@ def sweep(
             runs.append((scheme, float(value), range(first, len(plan_args))))
     # An OptimizedFDA plan is decided by its geometry, seed and box, on which
     # bob and the region are the sweep's own and f_delta_hz acts only through
-    # schemes.box_half_width; an increment that fails its check is its own key
+    # schemes.box_half_width; an increment that fails its check keys by the
+    # error that check raised, which no other row shares
     key_of = {
         i: (a[1], a[4], _recorded(box_half_width, a[3], a[5])[1])
         for i, a in enumerate(plan_args) if a[0] == SCHEME_OPTIMIZED
