@@ -21,9 +21,9 @@ Two paths form phases with channel._element_phases, as the region search does:
   rectangle per map, the rows and columns within the reach radius r*
   derived in noncovert_region: the square of side r* on the default grid.
 
-FDACOVERT_THREADS (resolve_threads) sets how many worker processes a sweep
-runs its plan searches and masks on, each mask at one thread, and elsewhere
-how many threads evaluate a map's row blocks.  No output depends on it.
+FDACOVERT_THREADS (resolve_threads) sets how many forked worker processes
+(_pool_map) evaluate a map's row bands, or run a sweep's plan searches and
+masks, each mask in one process.  No output depends on it.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ import os
 import sys
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -330,14 +330,14 @@ def _sincos(phase, scratch, check=True):
     return out
 
 
-def _correlation_block(coeffs, x, y, out=None):
+def _correlation_block(coeffs, x, y):
     """Raw correlation |sum_n e^{j phase_n}|^2 / N^2 at the nodes (x, y): the value path.
 
     Each element's float64 phase, unreduced, goes through _sincos and the
     phasors are summed in float64 in element order; this agrees with the
     per-point oracle, which reduces mod 2 pi, to ~1e-12 relative.  The nodes
     are taken in as few chunks of at most _CHUNK as they fit in, equal but
-    for the last, so a row block of the default grid (50 x 801 nodes) is one
+    for the last, so a row band of the default grid (50 x 801 nodes) is one
     chunk and each _sincos call takes one element's phases over all of it.
     At fewer nodes a call takes the phases of several elements, formed
     together, so that a few nodes do not cost N rounds of calls.  A single
@@ -346,27 +346,20 @@ def _correlation_block(coeffs, x, y, out=None):
     once per call, holds 12 float64 rows: five of a chunk's nodes (r, 1/r,
     sin(theta) and the two sums) and seven of a call's phases (the phase and
     _sincos's six scratch rows, whose row 0 is also _element_phases's tmp).
-    It is allocated before anything else in the call, and its size is
-    rounded up to a power of two, so that the blocks of a map, the smaller
-    last one too, ask for one size, and glibc's malloc gives each thread
-    back the piece its previous block freed.  With a smaller last block,
-    and no rounding, a second workspace stayed in a thread's arena in ~15%
-    of default heatmap runs (+3.4 MB peak RSS).
-    Every operation is elementwise, so a row block of the grid and any
+    Every operation is elementwise, so a row band of the grid and any
     gathered subset of its nodes get bit-identical values.  The r = 0 node
-    is nan.  The values go to out, a C-contiguous array of the nodes' shape,
-    if given.
+    is nan.
     """
     x, y = np.broadcast_arrays(x, y)
     n, chunks = coeffs[0].size, max(1, math.ceil(x.size / _CHUNK))
     width = max(1, math.ceil(x.size / chunks))  # nodes per chunk
     rows = min(n, _CHUNK // width)  # elements per _sincos call
     used = 5 * width + 7 * rows * width
-    work = np.empty(1 << (used - 1).bit_length())  # first, and a power of two
+    work = np.empty(used)
     node_rows = work[:5 * width].reshape(5, width)  # r, 1/r, sin(theta), the sums
     call_rows = work[5 * width:used].reshape(7, rows * width)  # the phase, _sincos's scratch
     phase_row, scratch = call_rows[0], call_rows[1:]
-    raw = np.empty(x.shape) if out is None else out
+    raw = np.empty(x.shape)
     groups = math.ceil(n / rows)
     # each element's coefficients as a column, rows to a group; the last
     # group is padded with zero elements, whose phasors are not summed
@@ -483,16 +476,19 @@ def _float32_block(coeffs, nodes: _Nodes):
     return _power(acc_re.astype(float), acc_im.astype(float), k.size), bound
 
 
-def _run_row_blocks(rows: range, n_threads: Optional[int], fill) -> None:
-    """fill(i0, i1) for each block of the grid rows in rows, on a thread pool.
+def _run_row_blocks(band, ys, out, n_threads: Optional[int]) -> None:
+    """out[i0:i1] = band(ys[i0:i1, None]) for each band of the grid rows ys, on _pool_map.
 
-    The blocks are disjoint, so the result is the same for any thread count.
+    band is a picklable function of a band's y nodes, as a column.  The
+    bands are disjoint and their split depends only on the thread count,
+    so the result is the same for any thread count.
     """
     threads = resolve_threads(n_threads)
-    block_rows = max(16, len(rows) // (threads * 8))
-    starts = range(rows.start, rows.stop, block_rows)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(lambda i0: fill(i0, min(rows.stop, i0 + block_rows)), starts))
+    band_rows = max(16, ys.size // (threads * 8))
+    starts = range(0, ys.size, band_rows)
+    bands = _pool_map(band, [ys[i0:i0 + band_rows, None] for i0 in starts], threads)
+    for i0, values in zip(starts, bands, strict=True):  # strict: the map runs to its end
+        out[i0:i0 + band_rows] = values
 
 
 def _focus_normalizer(coeffs, bob: PolarPoint, spec: GridSpec):
@@ -546,18 +542,14 @@ def evaluate_grid(
     Cell (iy, ix) holds the value at node (x_i, y_i); the r = 0 node (the
     array origin) is flagged invalid as NaN, so a focus within step/2 of the
     origin leaves nothing to normalize by and raises DomainError.  Row
-    blocks are evaluated in parallel with disjoint writes, so the result is
-    identical for any thread count.
+    bands are evaluated on n_threads worker processes (_run_row_blocks), and
+    the result is identical for any count.
     """
     coeffs = _phase_coefficients(g, plan, bob)
     bob_cell, normalizer = _focus_normalizer(coeffs, bob, spec)
-    xs, ys = spec.xs(), spec.ys()
     values = np.empty((spec.n_y, spec.n_x))
-
-    def fill(i0, i1):
-        _correlation_block(coeffs, xs[None, :], ys[i0:i1, None], out=values[i0:i1])
-
-    _run_row_blocks(range(spec.n_y), n_threads, fill)
+    band = partial(_correlation_block, coeffs, spec.xs()[None, :])
+    _run_row_blocks(band, spec.ys(), values, n_threads)
     if bob_cell is not None:
         values /= normalizer
 
@@ -588,6 +580,13 @@ def _check_threshold(threshold_mode: str, threshold_value: float, bob_cell) -> N
             raise DomainError(f"q must be > 0, got {threshold_value}")
     else:
         raise DomainError(f"unknown threshold mode {threshold_mode!r}")
+
+
+def _cut(r, threshold_mode, threshold_value, ref, wavelength_m, n_antennas):
+    """The raw value at radius r from which on a cell is non-covert: t ref, or q N / beta^2(r)."""
+    if threshold_mode == "fraction":
+        return np.broadcast_to(threshold_value * ref, np.shape(r))
+    return threshold_value * n_antennas / _beta_sq(wavelength_m, r)
 
 
 def _non_covert(values, threshold_mode, threshold_value, ref, wavelength_m, n_antennas, r):
@@ -650,7 +649,7 @@ def noncovert_region(
     """extract_noncovert(evaluate_grid(...)) without the map: the certified mask path.
 
     Areas, sweeps and rates need each cell's side of the threshold, not
-    its value.  Per row block, every cell is compared in raw units
+    its value.  Per row band (_mask_band), every cell is compared in raw units
     (|S|^2 / N^2) with the cut: t times the focus cell's raw value
     (fraction mode) or q N / beta^2(r) (kl mode).  The raw value comes from
     float32 phases, sin/cos and sums (_float32_block).  A cell more than
@@ -680,53 +679,47 @@ def noncovert_region(
     holds every cell that can be detected: the rows from the first to the
     last y_i with cut(max(|y_i|, min |x|)) <= reach, and the columns from
     the first to the last x_j with cut(max(|x_j|, min |y|)) <= reach.  Each
-    of its rows has cut(|y_i|) <= reach, so a row block's own columns,
-    those with cut(max(|x_j|, min |y| of the block)) <= reach, are the
+    of its rows has cut(|y_i|) <= reach, so a row band's own columns,
+    those with cut(max(|x_j|, min |y| of the band)) <= reach, are the
     same.  The fractional cut is at most the focus cell's raw value, below
     reach, so fraction mode evaluates every cell.  In kl mode the cut grows
     as r^2 and exceeds reach beyond r* = lambda / (4 pi) sqrt(1 / (q N)),
     21.5 m at the defaults, so a grid with a corner at the origin is
     evaluated on the square of side r*.  Every operation on a node is
-    elementwise, so its values do not depend on its block.
+    elementwise, so its values do not depend on its band.
     """
     coeffs = _phase_coefficients(g, plan, bob)
     bob_cell, normalizer = _focus_normalizer(coeffs, bob, spec)
     _beyond_rayleigh(g, spec)
     _check_threshold(threshold_mode, threshold_value, bob_cell)
-    n, lam = g.n_antennas, g.wavelength_m
+    rule = (threshold_mode, threshold_value, normalizer, g.wavelength_m, g.n_antennas)
     xs, ys = spec.xs(), spec.ys()
-    reach = 1.0 + _float64_slack(n)
-
-    def cut(r):
-        if threshold_mode == "fraction":
-            return np.broadcast_to(threshold_value * normalizer, np.shape(r))
-        return threshold_value * n / _beta_sq(lam, r)
+    reach = 1.0 + _float64_slack(g.n_antennas)
 
     def span(v, other):
         with np.errstate(divide="ignore"):
-            live = np.flatnonzero(cut(np.maximum(np.abs(v), np.abs(other).min())) <= reach)
-        return (live[0], live[-1] + 1) if live.size else (0, 0)
+            live = np.flatnonzero(_cut(np.maximum(np.abs(v), np.abs(other).min()), *rule) <= reach)
+        return slice(live[0], live[-1] + 1) if live.size else slice(0, 0)
 
     mask = np.zeros((spec.n_y, spec.n_x), dtype=bool)
-    cols = slice(*span(xs, ys))
-    x = xs[cols]
-
-    def fill(i0, i1):
-        nodes = _Nodes(x[None, :], ys[i0:i1, None])
-        raw, bound = _float32_block(coeffs, nodes)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            threshold = cut(nodes.r)
-            block = raw >= threshold
-            raw -= threshold
-            near = np.nonzero(np.abs(raw, out=raw) <= _SAFETY * bound)
-        values = _correlation_block(coeffs, x[near[1]], ys[i0:i1][near[0]]) / normalizer
-        block[near] = _non_covert(
-            values, threshold_mode, threshold_value, normalizer, lam, n, nodes.r[near]
-        )
-        mask[i0:i1, cols] = block
-
-    _run_row_blocks(range(*span(ys, xs)), n_threads, fill)
+    rows, cols = span(ys, xs), span(xs, ys)
+    _run_row_blocks(partial(_mask_band, coeffs, xs[cols], rule), ys[rows], mask[rows, cols],
+                    n_threads)
     return _region_result(spec, mask)
+
+
+def _mask_band(coeffs, x, rule, y):
+    """noncovert_region's mask on the nodes (x, y); rule = (mode, t or q, normalizer, lam, N)."""
+    nodes = _Nodes(x[None, :], y)
+    raw, bound = _float32_block(coeffs, nodes)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        threshold = _cut(nodes.r, *rule)
+        block = raw >= threshold
+        raw -= threshold
+        near = np.nonzero(np.abs(raw, out=raw) <= _SAFETY * bound)
+    values = _correlation_block(coeffs, x[near[1]], y[near[0], 0]) / rule[2]
+    block[near] = _non_covert(values, *rule, nodes.r[near])
+    return block
 
 
 def lattice_errors(g: ArrayGeometry, plan: FrequencyPlan, bob: PolarPoint, spec: GridSpec):
@@ -762,31 +755,39 @@ def lattice_errors(g: ArrayGeometry, plan: FrequencyPlan, bob: PolarPoint, spec:
     return float32, worst / _EPS64
 
 
-def _sweep_workers(n_jobs: int) -> int:
-    """How many worker processes sweep runs n_jobs jobs on: never more than the jobs."""
-    return min(resolve_threads(), n_jobs)
+def _workers(n_jobs: int, n_threads: Optional[int] = None) -> int:
+    """How many worker processes _pool_map runs n_jobs jobs on: never more than the jobs."""
+    return min(resolve_threads(n_threads), n_jobs)
 
 
-def _sweep_pool(workers: int):
-    """A pool of that many forked worker processes, or None to run the jobs here.
+def _pool_map(fn, jobs: list, n_threads: Optional[int] = None):
+    """fn(job) for each job, in order, as each comes back from _workers(...) forked processes.
 
-    None for one worker, where fork is missing, and while another thread
-    runs: a forked child gets a copy of every lock, held or not, and only
-    the forking thread.  A forked worker starts with the parent's modules,
-    where a spawned one would import numpy and this package again.
-    multiprocessing is imported only here, as its import costs ~15 ms.
+    The pool is started at the first result asked for and shut down, which
+    joins every worker, after the last or at an error or close().
+    The jobs run here, one after another, for one worker, where fork is
+    missing, and while another thread runs: a forked child gets a copy of
+    every lock, held or not, and only the forking thread.  A forked worker
+    starts with the parent's modules, where a spawned one would import
+    numpy and this package again.  multiprocessing is imported only here,
+    as its import costs ~15 ms.  fn and the jobs are pickled.
     """
-    if workers < 2 or threading.active_count() > 1:
-        return None
-    import multiprocessing
+    workers = _workers(len(jobs), n_threads)
+    if workers > 1 and threading.active_count() == 1:
+        import multiprocessing
 
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    from concurrent.futures import ProcessPoolExecutor
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
 
-    # a fork pool starts every worker at its first submit, before its own
-    # threads (CPython issue 90622)
-    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+            # a fork pool starts every worker at its first submit, before its
+            # own threads (CPython issue 90622)
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+            try:
+                yield from pool.map(fn, jobs)
+            finally:
+                pool.shutdown(cancel_futures=True)
+            return
+    yield from map(fn, jobs)
 
 
 def _recorded(fn, *args):
@@ -808,8 +809,8 @@ def _sweep_job(job: tuple) -> tuple:
     """One job of sweep, job = (build_plan args, plan): (build, mask), each _recorded.
 
     build is build_plan(*args), made here when plan is None and None
-    otherwise; mask is the area fraction of the plan's mask at one thread,
-    None if the build failed.
+    otherwise; mask is the area fraction of the plan's mask, made in this
+    process, None if the build failed.
     """
     args, plan = job
     build = None
@@ -871,11 +872,11 @@ def sweep(
     here; each distinct one, such as LPA's at every increment, is measured
     once.  Each OptimizedFDA plan, a J and a region search, is searched
     once per distinct geometry, seed and box (a box_half_width_hz fixes it
-    at every increment) and measured in that job.  One map runs these jobs on
-    min(resolve_threads(), jobs) worker processes (_sweep_pool), the
-    searches first, each mask at one thread, so no row depends on the
-    thread count.  The rows are then put together in row order, which
-    issues each job's warnings and raises its error as a serial sweep would.
+    at every increment) and measured in that job.  _pool_map runs these jobs
+    on forked worker processes, the searches first, each mask in its job's
+    process, so no row depends on the thread count.  The rows are then put
+    together in row order, which issues each job's warnings and raises its
+    error as a serial sweep would.
     """
     if parameter not in ("n_antennas", "f_delta"):
         raise DomainError(f"unknown sweep parameter {parameter!r}")
@@ -916,12 +917,7 @@ def sweep(
         if not isinstance(plan, Exception):
             key_of[i] = (plan_args[i][1], plan.offsets_hz)
             jobs.setdefault(key_of[i], (plan_args[i], plan))
-    pool = _sweep_pool(_sweep_workers(len(jobs)))
-    try:
-        outcomes = dict(zip(jobs, (map if pool is None else pool.map)(_sweep_job, jobs.values())))
-    finally:
-        if pool is not None:  # joins every worker
-            pool.shutdown(cancel_futures=True)
+    outcomes = dict(zip(jobs, _pool_map(_sweep_job, list(jobs.values())), strict=True))
     fraction_of = {}  # job key -> area fraction
     rows = []
     for scheme, value, indices in runs:

@@ -3,8 +3,10 @@
 import math
 import multiprocessing
 import os
+import threading
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -355,6 +357,15 @@ from hypothesis import strategies as st  # noqa: E402
 
 from fdacovert import RegionSpec, build_plan, fieldmap, noncovert_region  # noqa: E402
 
+
+@pytest.fixture
+def jobs_here(monkeypatch):
+    # a spy's records stay in the process that made them, so run every
+    # _pool_map job here, one after another; a map's row bands are still
+    # split as its thread count splits them
+    monkeypatch.setattr(fieldmap, "_pool_map", lambda fn, jobs, n_threads=None: map(fn, jobs))
+
+
 DESK = GridSpec(0.0, 8.0, 0.0, 8.0, 0.1)
 
 
@@ -571,6 +582,7 @@ def test_sweep_measures_each_distinct_plan_once_across_processes(monkeypatch, tm
         return noncovert(g, plan, *args)
 
     monkeypatch.setattr(fieldmap, "noncovert_region", counting)
+    threads = threading.active_count()
     seeds = (0, 1)
     rows = sweep(
         "f_delta", (0.5e6, 1e6, 2e6), ("LPA", "LinearFDA", "RandomFDA"), G, BOB, 1e6,
@@ -580,6 +592,7 @@ def test_sweep_measures_each_distinct_plan_once_across_processes(monkeypatch, tm
     assert len(measured) == len(set(measured)) == 1 + 3 + 3 * len(seeds)
     assert str(os.getpid()) not in pids
     assert not multiprocessing.active_children()  # every worker is joined
+    assert threading.active_count() == threads  # and the pool's own threads
     monkeypatch.setenv("FDACOVERT_THREADS", "1")
     monkeypatch.setattr(fieldmap, "noncovert_region", noncovert)
     assert rows == sweep(
@@ -588,38 +601,75 @@ def test_sweep_measures_each_distinct_plan_once_across_processes(monkeypatch, tm
     )
 
 
+def test_maps_leave_no_worker_or_thread_running():
+    # at 3 threads each map's row bands run on forked workers
+    plan = random_fda_plan(G, 1e6, 1)
+    threads = threading.active_count()
+    for run in (evaluate_grid, noncovert_region):
+        run(G, plan, BOB, SMALL, n_threads=3)
+        assert not multiprocessing.active_children()  # every worker is joined
+        assert threading.active_count() == threads
+
+
+def _pid_and(fn, job):
+    """(the pid of the process that ran fn(job), fn(job))."""
+    return os.getpid(), fn(job)
+
+
 def test_sweep_issues_its_warnings_in_serial_order_across_processes(monkeypatch):
     # Rayleigh extrapolation at N=16 and offset strain at N=64, from the jobs
     # of plans built in this process and of OptimizedFDA's searches
-    pools = []
-    make_pool = fieldmap._sweep_pool
+    pools = {}  # thread count -> per _pool_map call in this process, the pids its jobs ran in
+    pool_map = fieldmap._pool_map
 
-    def recording(workers):
-        pools.append(make_pool(workers))
-        return pools[-1]
+    def recording(fn, jobs, n_threads=None):
+        pids = set()
+        pools[os.environ["FDACOVERT_THREADS"]].append(pids)
+        for pid, result in pool_map(partial(_pid_and, fn), jobs, n_threads):
+            pids.add(pid)
+            yield result
 
-    monkeypatch.setattr(fieldmap, "_sweep_pool", recording)
+    monkeypatch.setattr(fieldmap, "_pool_map", recording)
     grid = GridSpec(0.0, 12.0, 0.0, 12.0, 0.5)
     schemes = ("LPA", "LinearFDA", "RandomFDA", "OptimizedFDA")
     issued = {}
     for threads in ("1", "3"):
         monkeypatch.setenv("FDACOVERT_THREADS", threads)
+        pools[threads] = []
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             sweep("n_antennas", (16, 64), schemes, G, BOB, 1e6, grid, seeds=(0, 1))
         issued[threads] = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
-    assert pools[0] is None and pools[1] is not None  # one thread forks no worker
+    # one thread forks no worker: the sweep's jobs and every mask's bands run
+    # here; at three the sweep's jobs, and the masks in them, run on workers
+    assert len(pools["1"]) > 1 and all(pids == {os.getpid()} for pids in pools["1"])
+    assert len(pools["3"]) == 1 and os.getpid() not in pools["3"][0]
     # the N=16 rows' five Rayleigh warnings, then the N=64 rows' three strain warnings
     rayleigh = ["Rayleigh" in message for _, message, _, _ in issued["1"]]
     assert rayleigh == [True] * 5 + [False] * 3
     assert issued["1"] == issued["3"]
 
 
-def test_sweep_never_starts_more_workers_than_jobs(monkeypatch):
+def test_pool_never_starts_more_workers_than_jobs(monkeypatch, jobs_here):
+    # _workers is a pure function, so no process starts at any count
     monkeypatch.setenv("FDACOVERT_THREADS", "100000")
-    assert fieldmap._sweep_workers(7) == 7
+    assert fieldmap._workers(7) == 7
     monkeypatch.setenv("FDACOVERT_THREADS", "2")
-    assert fieldmap._sweep_workers(7) == 2
+    assert fieldmap._workers(7) == 2
+    # a map of 40 rows, in bands of at least 16 rows: three bands, three workers
+    asked = []
+    pool_map = fieldmap._pool_map
+
+    def recording(fn, jobs, n_threads=None):
+        asked.append((len(jobs), fieldmap._workers(len(jobs), n_threads)))
+        return pool_map(fn, jobs, n_threads)
+
+    monkeypatch.setattr(fieldmap, "_pool_map", recording)
+    monkeypatch.setenv("FDACOVERT_THREADS", "100000")
+    grid = GridSpec(0.0, 12.0, 3.0, 6.9, 0.1)
+    assert grid.n_y == 40
+    evaluate_grid(G, random_fda_plan(G, 1e6, 1), BOB, grid)
+    assert asked == [(3, 3)]
 
 
 # ------------------------------------------- kl mode: the reach radius r*
@@ -660,7 +710,7 @@ def test_kl_reach_boundary_through_the_focus_cell(scheme, focus, extent):
         assert_same_region(exact, noncovert_region(G, plan, bob, around, "kl", float(q)))
 
 
-def test_kl_mask_path_evaluates_only_nodes_within_reach(monkeypatch):
+def test_kl_mask_path_evaluates_only_nodes_within_reach(monkeypatch, jobs_here):
     evaluated = []
     float32_block = fieldmap._float32_block
 
@@ -691,7 +741,7 @@ def test_kl_mask_path_evaluates_only_nodes_within_reach(monkeypatch):
         ((-30.0, 28.0, -26.0, 32.0), (5.0, 5.0)),
     ],
 )
-def test_kl_column_span_matches_the_value_path(monkeypatch, extent, focus):
+def test_kl_column_span_matches_the_value_path(monkeypatch, jobs_here, extent, focus):
     evaluated = []
     float32_block = fieldmap._float32_block
 
@@ -718,7 +768,7 @@ def test_kl_column_span_matches_the_value_path(monkeypatch, extent, focus):
 
 @pytest.mark.parametrize("grid", [FAR, GridSpec(-30.0, 28.0, -26.0, 32.0, 0.5)])
 @pytest.mark.parametrize("threads", [1, 3])
-def test_mask_path_evaluates_one_rectangle_per_map(monkeypatch, grid, threads):
+def test_mask_path_evaluates_one_rectangle_per_map(monkeypatch, jobs_here, grid, threads):
     # kl mode: every row block gets the same columns, and the blocks
     # together evaluate the rectangle of the rows and columns v with
     # cut(|v|) = q N / beta^2(|v|) <= reach, 1 + 8 (N + 4) eps64; both grids
