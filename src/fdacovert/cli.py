@@ -130,13 +130,14 @@ def _load_plan_file(path: str, g: ArrayGeometry) -> FrequencyPlan:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        if not isinstance(data["offsets_hz"], list):
-            raise TypeError("offsets_hz must be a list")
+        offsets = data["offsets_hz"]
+        if not isinstance(offsets, list) or not all(type(v) in (int, float) for v in offsets):
+            raise TypeError(f"offsets_hz must be a list of numbers, got {offsets!r}")
         seed = data.get("seed")
         if seed is not None and type(seed) is not int:  # bool is an int subclass
             raise TypeError(f"seed must be an integer or null, got {seed!r}")
         plan = FrequencyPlan(
-            offsets_hz=tuple(data["offsets_hz"]),
+            offsets_hz=tuple(offsets),
             scheme=data.get("scheme", SCHEME_OPTIMIZED),
             seed=seed,
         )
@@ -172,7 +173,7 @@ def cmd_region(cfg: ExperimentConfig, out_dir: str, plan_file: Optional[str] = N
     mode, value = cfg.effective_threshold()
     written = []
     summary = []
-    if plan_file:
+    if plan_file is not None:
         plan = _load_plan_file(plan_file, cfg.geometry())
         plans = [(plan.scheme, plan)]
     else:
@@ -369,9 +370,11 @@ def _selftest_checks(cfg: ExperimentConfig):
     small = GridSpec(0.0, 8.0, 0.0, 8.0, 0.1)
 
     def check_map_determinism():
+        # 201 x 201 nodes make two row bands, which 3 threads run on workers
+        wide = GridSpec(0.0, 20.0, 0.0, 20.0, 0.1)
         plan = _plan_for(cfg, "RandomFDA", seed=1)
-        a = evaluate_grid(g, plan, bob, small, n_threads=1)
-        b = evaluate_grid(g, plan, bob, small, n_threads=3)
+        a = evaluate_grid(g, plan, bob, wide, n_threads=1)
+        b = evaluate_grid(g, plan, bob, wide, n_threads=3)
         return np.array_equal(a.values, b.values, equal_nan=True)
 
     def check_certified_mask():
@@ -486,7 +489,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         created = _make_out_dir(args.out)
         try:
             handler = _HANDLERS[args.subcommand]
-            written = handler(cfg, args.out, args.plan) if args.plan else handler(cfg, args.out)
+            written = (handler(cfg, args.out) if args.plan is None
+                       else handler(cfg, args.out, args.plan))
         except BaseException:
             for path in created:  # deepest first; one with files in it stays
                 try:

@@ -21,9 +21,11 @@ Two paths form phases with channel._element_phases, as the region search does:
   rectangle per map, the rows and columns within the reach radius r*
   derived in noncovert_region: the square of side r* on the default grid.
 
-FDACOVERT_THREADS (resolve_threads) sets how many forked worker processes
-(_pool_map) evaluate a map's row bands, or run a sweep's plan searches and
-masks, each mask in one process.  No output depends on it.
+A map is cut into row bands of up to _CHUNK nodes (_run_row_blocks),
+whatever the thread count.  FDACOVERT_THREADS (resolve_threads) sets how
+many forked worker processes (_pool_map) evaluate a map's bands, or run a
+sweep's plan searches and masks, each mask in one process; a map of one
+band runs in the calling process.  No output depends on it.
 """
 
 from __future__ import annotations
@@ -191,13 +193,16 @@ def _power(acc_re, acc_im, n_antennas):
 # The value path's sin and cos (_sincos): pi in hexadecimal (its fractional
 # digits are Blowfish's P-array) as the integer _PI_FIXED / 2^_PI_BITS; the
 # table of cos and sin of 2 pi j / _TURN_STEPS; the split 2 pi / _TURN_STEPS
-# = C1 + C2 + C3 (_SPLIT), C1 and C2 with 20 significant bits each; the
-# largest |m| whose reduction is exact; and the most phases one call takes.
+# = C1 + C2 + C3 (_SPLIT), C1 and C2 with 20 significant bits each; and the
+# largest |m| whose reduction is exact.
 _PI_HEX = "3243F6A8885A308D313198A2E03707344A4093822299F31D0082EFA98EC4E6C89452821E"
 _PI_FIXED, _PI_BITS = int(_PI_HEX, 16), 4 * (len(_PI_HEX) - 1)
 _TURN_STEPS = 4096
 _EXACT_STEPS = 2.0**33
-_CHUNK = 1 << 16
+# The size of the work: a map's row band holds up to _CHUNK nodes, or one
+# row of a wider grid, and one of _correlation_block's _sincos calls up to
+# _CHUNK phases, or one element's over a wider band.
+_CHUNK = 1 << 15
 
 
 def _unit_circle(steps):
@@ -294,7 +299,8 @@ def _sincos(phase, scratch, check=True):
     np.multiply(phase, _TURN_STEPS / (2.0 * math.pi), out=m)
     np.rint(m, out=m)
     far = None
-    if check and not (m.min() >= -_EXACT_STEPS and m.max() <= _EXACT_STEPS):  # or nan
+    # nan fails the test, and no phase at all passes it
+    if check and not (m.min(initial=0.0) >= -_EXACT_STEPS and m.max(initial=0.0) <= _EXACT_STEPS):
         far = np.flatnonzero(~(np.abs(m) <= _EXACT_STEPS))
         far_phase = phase[far]
         phase[far] = m[far] = 0.0
@@ -335,60 +341,48 @@ def _correlation_block(coeffs, x, y):
 
     Each element's float64 phase, unreduced, goes through _sincos and the
     phasors are summed in float64 in element order; this agrees with the
-    per-point oracle, which reduces mod 2 pi, to ~1e-12 relative.  The nodes
-    are taken in as few chunks of at most _CHUNK as they fit in, equal but
-    for the last, so a row band of the default grid (50 x 801 nodes) is one
-    chunk and each _sincos call takes one element's phases over all of it.
-    At fewer nodes a call takes the phases of several elements, formed
-    together, so that a few nodes do not cost N rounds of calls.  A single
-    chunk's r, 1/r and sin(theta) come from the broadcast x and y as they
-    are; more chunks copy out their nodes first.  The workspace, allocated
-    once per call, holds 12 float64 rows: five of a chunk's nodes (r, 1/r,
-    sin(theta) and the two sums) and seven of a call's phases (the phase and
-    _sincos's six scratch rows, whose row 0 is also _element_phases's tmp).
-    Every operation is elementwise, so a row band of the grid and any
-    gathered subset of its nodes get bit-identical values.  The r = 0 node
-    is nan.
+    per-point oracle, which reduces mod 2 pi, to ~1e-12 relative.  The
+    nodes are taken in one piece, and each _sincos call takes the phases of
+    as many elements as fit in _CHUNK, at least one: one element per call
+    over a row band of a map, several over the few nodes of the focus cell
+    or of the mask path's recomputed cells, so that a few nodes do not cost
+    N rounds of calls.  The workspace, allocated once per call, holds
+    five float64 rows of the nodes (r, 1/r, sin(theta) and the two sums)
+    and seven of a call's phases (the phase and _sincos's six scratch rows,
+    whose row 0 is also _element_phases's tmp).  Every operation is
+    elementwise, so a row band of the grid and any gathered subset of its
+    nodes get bit-identical values.  The r = 0 node is nan.
     """
     x, y = np.broadcast_arrays(x, y)
-    n, chunks = coeffs[0].size, max(1, math.ceil(x.size / _CHUNK))
-    width = max(1, math.ceil(x.size / chunks))  # nodes per chunk
-    rows = min(n, _CHUNK // width)  # elements per _sincos call
-    used = 5 * width + 7 * rows * width
-    work = np.empty(used)
-    node_rows = work[:5 * width].reshape(5, width)  # r, 1/r, sin(theta), the sums
-    call_rows = work[5 * width:used].reshape(7, rows * width)  # the phase, _sincos's scratch
+    n, size = coeffs[0].size, x.size
+    rows = min(n, max(1, _CHUNK // max(1, size)))  # elements per _sincos call
+    work = np.empty((5 + 7 * rows) * size)
+    node_rows = work[:5 * size].reshape(5, size)  # r, 1/r, sin(theta), the sums
+    call_rows = work[5 * size:].reshape(7, rows * size)  # the phase, _sincos's scratch
     phase_row, scratch = call_rows[0], call_rows[1:]
-    raw = np.empty(x.shape)
-    groups = math.ceil(n / rows)
     # each element's coefficients as a column, rows to a group; the last
     # group is padded with zero elements, whose phasors are not summed
-    pad = np.zeros(groups * rows - n)
-    columns = tuple(np.concatenate([c, pad]).reshape(groups, rows, 1) for c in coeffs)
+    pad = np.zeros(-n % rows)
+    columns = tuple(np.concatenate([c, pad]).reshape(-1, rows, 1) for c in coeffs)
     k, c1, c2, ref = (float(np.max(np.abs(c))) for c in coeffs)
     with np.errstate(invalid="ignore"):
-        for i0 in range(0, raw.size, width):
-            # a single chunk's nodes are x and y as broadcast, not copied
-            xc, yc = (x, y) if chunks == 1 else (x.flat[i0:i0 + width], y.flat[i0:i0 + width])
-            size = xc.size
-            r, inv_r, sin_t = node_rows[:3, :size]
-            nodes = _Nodes(xc, yc, out=[a.reshape(xc.shape) for a in (r, inv_r, sin_t)])
-            # seen by _element_phases as one row of nodes, as its columns need
-            nodes.r, nodes.inv_r, nodes.sin_t = r[None], inv_r[None], sin_t[None]
-            # |phase| <= |k| r + |c1| / r + |c2| + |ref| (inf at r = 0); below
-            # half the exact range, _sincos need not check it
-            bound = k * nodes.r.max() + c1 * nodes.inv_r.max() + c2 + ref
-            check = not bound < _EXACT_STEPS * math.pi / _TURN_STEPS
-            acc = node_rows[3:, :size]
-            acc.fill(0.0)
-            buffers = (phase_row[:rows * size].reshape(rows, size),
-                       scratch[0, :rows * size].reshape(rows, size))
-            for n0, phase in zip(range(0, n, rows), _element_phases(columns, nodes, buffers)):
-                phasors = _sincos(phase.reshape(-1), scratch, check).reshape(2, rows, size)
-                for e in range(min(rows, n - n0)):
-                    acc += phasors[:, e]
-            raw.flat[i0:i0 + width] = _power(acc[0], acc[1], n)
-    return raw
+        r, inv_r, sin_t = node_rows[:3]
+        nodes = _Nodes(x, y, out=[a.reshape(x.shape) for a in (r, inv_r, sin_t)])
+        # seen by _element_phases as one row of nodes, as its columns need
+        nodes.r, nodes.inv_r, nodes.sin_t = r[None], inv_r[None], sin_t[None]
+        # |phase| <= |k| r + |c1| / r + |c2| + |ref| (inf at r = 0); below
+        # half the exact range, _sincos need not check it
+        bound = k * r.max(initial=0.0) + c1 * inv_r.max(initial=0.0) + c2 + ref
+        check = not bound < _EXACT_STEPS * math.pi / _TURN_STEPS
+        acc = node_rows[3:]
+        acc.fill(0.0)
+        buffers = phase_row.reshape(rows, size), scratch[0].reshape(rows, size)
+        for n0, phase in zip(range(0, n, rows), _element_phases(columns, nodes, buffers)):
+            phasors = _sincos(phase.reshape(-1), scratch, check).reshape(2, rows, size)
+            for e in range(min(rows, n - n0)):
+                acc += phasors[:, e]
+    # a copy: a view would keep the workspace alive while the caller holds it
+    return _power(acc[0], acc[1], n).reshape(x.shape).copy()
 
 
 # The float32 kernel's error bound, in ulps of numpy's float32 sin and cos as
@@ -479,14 +473,15 @@ def _float32_block(coeffs, nodes: _Nodes):
 def _run_row_blocks(band, ys, out, n_threads: Optional[int]) -> None:
     """out[i0:i1] = band(ys[i0:i1, None]) for each band of the grid rows ys, on _pool_map.
 
-    band is a picklable function of a band's y nodes, as a column.  The
-    bands are disjoint and their split depends only on the thread count,
-    so the result is the same for any thread count.
+    band is a picklable function of a band's y nodes, as a column.  A band
+    is as many rows of out as fit in _CHUNK nodes, at least one, whatever
+    the thread count, so a map of up to _CHUNK nodes is one job and starts
+    no worker.  The bands are disjoint, so the result is the same for any
+    thread count.
     """
-    threads = resolve_threads(n_threads)
-    band_rows = max(16, ys.size // (threads * 8))
+    band_rows = max(1, _CHUNK // max(1, out.shape[1]))
     starts = range(0, ys.size, band_rows)
-    bands = _pool_map(band, [ys[i0:i0 + band_rows, None] for i0 in starts], threads)
+    bands = _pool_map(band, [ys[i0:i0 + band_rows, None] for i0 in starts], n_threads)
     for i0, values in zip(starts, bands, strict=True):  # strict: the map runs to its end
         out[i0:i0 + band_rows] = values
 

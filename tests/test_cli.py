@@ -407,6 +407,11 @@ def test_plan_outside_region_is_a_config_error(tmp_path, capsys, sub):
                      % ", ".join(["0.0"] * 64), id="seed-with-newlines"),
         pytest.param('{"offsets_hz": [%s], "seed": [1, 2]}' % ", ".join(["0.0"] * 64),
                      id="seed-list"),
+        # an offset must be a JSON number, not one that float() would read
+        pytest.param('{"offsets_hz": [%s, "0"]}' % ", ".join(["0.0"] * 63),
+                     id="offset-string"),
+        pytest.param('{"offsets_hz": [%s, true]}' % ", ".join(["0.0"] * 63),
+                     id="offset-bool"),
     ],
 )
 def test_unreadable_or_malformed_plan_is_a_config_error(tmp_path, capsys, text):
@@ -418,6 +423,14 @@ def test_unreadable_or_malformed_plan_is_a_config_error(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert "config error" in err and f"plan file {path}" in err
     assert not os.path.exists(out) or not os.listdir(out)
+
+
+def test_empty_plan_path_is_a_config_error(tmp_path, capsys):
+    # an empty --plan names no file; it must not fall back to the default schemes
+    out = str(tmp_path / "out")
+    assert run_cli(["region", "--out", out, "--plan", ""] + FAST) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("offset", ["NaN", "Infinity"])
@@ -573,7 +586,9 @@ def test_grid_csvs_equal_per_cell_reference(tmp_path, monkeypatch, sub):
 
 def test_region_bytes_do_not_depend_on_fdacovert_threads(tmp_path, monkeypatch):
     # the row blocks are disjoint, so the thread count shows in no byte; a
-    # non-integer value is ignored with a warning
+    # non-integer value is ignored with a warning.  Bands of 8 of FAST's 49
+    # rows: seven per map, on workers at three threads
+    monkeypatch.setattr(fieldmap, "_CHUNK", 49 * 8)
     outputs = {}
     for env in ("1", "3", "two"):
         monkeypatch.setenv("FDACOVERT_THREADS", env)
@@ -590,6 +605,7 @@ def test_region_bytes_do_not_depend_on_fdacovert_threads(tmp_path, monkeypatch):
 
 
 def test_heatmap_bytes_do_not_depend_on_fdacovert_threads(tmp_path, monkeypatch):
+    monkeypatch.setattr(fieldmap, "_CHUNK", 49 * 8)  # seven bands per map
     outputs = {}
     for env in ("1", "3"):
         monkeypatch.setenv("FDACOVERT_THREADS", env)

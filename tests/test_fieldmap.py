@@ -113,7 +113,9 @@ def test_map_peak_at_focus_for_all_schemes():
         assert np.nansum(fmap.values >= 1.0) == 1
 
 
-def test_map_determinism_and_thread_invariance():
+def test_map_determinism_and_thread_invariance(monkeypatch):
+    # bands of 16 rows: eight of them, on three workers at three threads
+    monkeypatch.setattr(fieldmap, "_CHUNK", SMALL.n_x * 16)
     plan = random_fda_plan(G, 1e6, 3)
     a = evaluate_grid(G, plan, BOB, SMALL, n_threads=1)
     b = evaluate_grid(G, plan, BOB, SMALL, n_threads=1)
@@ -361,9 +363,31 @@ from fdacovert import RegionSpec, build_plan, fieldmap, noncovert_region  # noqa
 @pytest.fixture
 def jobs_here(monkeypatch):
     # a spy's records stay in the process that made them, so run every
-    # _pool_map job here, one after another; a map's row bands are still
-    # split as its thread count splits them
+    # _pool_map job here, one after another; a map's row bands are the
+    # ones workers would get
     monkeypatch.setattr(fieldmap, "_pool_map", lambda fn, jobs, n_threads=None: map(fn, jobs))
+
+
+def _pid_and(fn, job):
+    """(the pid of the process that ran fn(job), fn(job))."""
+    return os.getpid(), fn(job)
+
+
+@pytest.fixture
+def pool_pids(monkeypatch):
+    """Per _pool_map call made in this process, the set of pids its jobs ran in."""
+    calls = []
+    pool_map = fieldmap._pool_map
+
+    def recording(fn, jobs, n_threads=None):
+        pids = set()
+        calls.append(pids)
+        for pid, result in pool_map(partial(_pid_and, fn), jobs, n_threads):
+            pids.add(pid)
+            yield result
+
+    monkeypatch.setattr(fieldmap, "_pool_map", recording)
+    return calls
 
 
 DESK = GridSpec(0.0, 8.0, 0.0, 8.0, 0.1)
@@ -400,10 +424,13 @@ def test_certified_mask_equals_float64_mask(scheme, n, seed, fraction, q_quantil
     fmap = evaluate_grid(g, plan, BOB, DESK)
     gain = gains(fmap)
     q = float(np.quantile(gain[gain > 0.0], q_quantile))  # q must be > 0
-    for mode, value in (("fraction", fraction), ("kl", q)):
-        exact = extract_noncovert(fmap, mode, value)
-        certified = noncovert_region(g, plan, BOB, DESK, mode, value, n_threads=threads)
-        assert_same_region(exact, certified)
+    with pytest.MonkeyPatch.context() as patch:
+        # bands of 16 rows, on workers at three threads: DESK makes six
+        patch.setattr(fieldmap, "_CHUNK", DESK.n_x * 16)
+        for mode, value in (("fraction", fraction), ("kl", q)):
+            exact = extract_noncovert(fmap, mode, value)
+            certified = noncovert_region(g, plan, BOB, DESK, mode, value, n_threads=threads)
+            assert_same_region(exact, certified)
 
 
 def test_certified_mask_with_focus_off_grid():
@@ -601,44 +628,43 @@ def test_sweep_measures_each_distinct_plan_once_across_processes(monkeypatch, tm
     )
 
 
-def test_maps_leave_no_worker_or_thread_running():
-    # at 3 threads each map's row bands run on forked workers
+def test_maps_leave_no_worker_or_thread_running(monkeypatch, pool_pids):
+    # at 3 threads each map's four row bands run on forked workers
+    monkeypatch.setattr(fieldmap, "_CHUNK", SMALL.n_x * 40)
     plan = random_fda_plan(G, 1e6, 1)
     threads = threading.active_count()
     for run in (evaluate_grid, noncovert_region):
         run(G, plan, BOB, SMALL, n_threads=3)
+        assert pool_pids[-1] and os.getpid() not in pool_pids[-1]
         assert not multiprocessing.active_children()  # every worker is joined
         assert threading.active_count() == threads
 
 
-def _pid_and(fn, job):
-    """(the pid of the process that ran fn(job), fn(job))."""
-    return os.getpid(), fn(job)
+def test_a_map_of_one_band_runs_in_this_process(monkeypatch, pool_pids):
+    # a map of at most _CHUNK nodes is one row band at any thread count, and
+    # one job starts no pool
+    monkeypatch.setenv("FDACOVERT_THREADS", "3")
+    assert SMALL.n_cells <= fieldmap._CHUNK
+    plan = random_fda_plan(G, 1e6, 1)
+    evaluate_grid(G, plan, BOB, SMALL)
+    noncovert_region(G, plan, BOB, SMALL)
+    assert pool_pids == [{os.getpid()}] * 2
 
 
-def test_sweep_issues_its_warnings_in_serial_order_across_processes(monkeypatch):
+def test_sweep_issues_its_warnings_in_serial_order_across_processes(monkeypatch, pool_pids):
     # Rayleigh extrapolation at N=16 and offset strain at N=64, from the jobs
     # of plans built in this process and of OptimizedFDA's searches
     pools = {}  # thread count -> per _pool_map call in this process, the pids its jobs ran in
-    pool_map = fieldmap._pool_map
-
-    def recording(fn, jobs, n_threads=None):
-        pids = set()
-        pools[os.environ["FDACOVERT_THREADS"]].append(pids)
-        for pid, result in pool_map(partial(_pid_and, fn), jobs, n_threads):
-            pids.add(pid)
-            yield result
-
-    monkeypatch.setattr(fieldmap, "_pool_map", recording)
     grid = GridSpec(0.0, 12.0, 0.0, 12.0, 0.5)
     schemes = ("LPA", "LinearFDA", "RandomFDA", "OptimizedFDA")
     issued = {}
     for threads in ("1", "3"):
         monkeypatch.setenv("FDACOVERT_THREADS", threads)
-        pools[threads] = []
+        pool_pids.clear()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             sweep("n_antennas", (16, 64), schemes, G, BOB, 1e6, grid, seeds=(0, 1))
+        pools[threads] = list(pool_pids)
         issued[threads] = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
     # one thread forks no worker: the sweep's jobs and every mask's bands run
     # here; at three the sweep's jobs, and the masks in them, run on workers
@@ -656,7 +682,7 @@ def test_pool_never_starts_more_workers_than_jobs(monkeypatch, jobs_here):
     assert fieldmap._workers(7) == 7
     monkeypatch.setenv("FDACOVERT_THREADS", "2")
     assert fieldmap._workers(7) == 2
-    # a map of 40 rows, in bands of at least 16 rows: three bands, three workers
+    # a map of 40 rows, in bands of 16 rows: three bands, three workers
     asked = []
     pool_map = fieldmap._pool_map
 
@@ -667,6 +693,7 @@ def test_pool_never_starts_more_workers_than_jobs(monkeypatch, jobs_here):
     monkeypatch.setattr(fieldmap, "_pool_map", recording)
     monkeypatch.setenv("FDACOVERT_THREADS", "100000")
     grid = GridSpec(0.0, 12.0, 3.0, 6.9, 0.1)
+    monkeypatch.setattr(fieldmap, "_CHUNK", grid.n_x * 16)
     assert grid.n_y == 40
     evaluate_grid(G, random_fda_plan(G, 1e6, 1), BOB, grid)
     assert asked == [(3, 3)]
@@ -772,7 +799,9 @@ def test_mask_path_evaluates_one_rectangle_per_map(monkeypatch, jobs_here, grid,
     # kl mode: every row block gets the same columns, and the blocks
     # together evaluate the rectangle of the rows and columns v with
     # cut(|v|) = q N / beta^2(|v|) <= reach, 1 + 8 (N + 4) eps64; both grids
-    # hold x = 0 and y = 0.  Fraction mode evaluates every cell
+    # hold x = 0 and y = 0.  Fraction mode evaluates every cell.  Bands of
+    # about 1024 nodes split each rectangle into 2 to 15 of them, the same
+    # at any thread count
     blocks = []
     float32_block = fieldmap._float32_block
 
@@ -781,6 +810,7 @@ def test_mask_path_evaluates_one_rectangle_per_map(monkeypatch, jobs_here, grid,
         return float32_block(coeffs, nodes)
 
     monkeypatch.setattr(fieldmap, "_float32_block", recording)
+    monkeypatch.setattr(fieldmap, "_CHUNK", 1024)
     plan = random_fda_plan(G, 1e6, 1)
     reach = 1.0 + 8.0 * (G.n_antennas + 4) * np.finfo(float).eps
 
@@ -797,8 +827,12 @@ def test_mask_path_evaluates_one_rectangle_per_map(monkeypatch, jobs_here, grid,
         ("kl", KL_Q, cols, rows),
         ("fraction", 0.1, grid.xs(), grid.ys()),
     ):
-        blocks.clear()
-        noncovert_region(G, plan, BOB, grid, mode, value, n_threads=threads)
+        shapes = {}
+        for n_threads in (1, threads):
+            blocks.clear()
+            noncovert_region(G, plan, BOB, grid, mode, value, n_threads=n_threads)
+            shapes[n_threads] = [b.shape for b in blocks]
+        assert shapes[1] == shapes[threads]
         assert len(blocks) > 1 and {b.shape[1] for b in blocks} == {xs.size}
         assert sum(b.size for b in blocks) == xs.size * ys.size
         evaluated = np.sort(np.concatenate([b.ravel() for b in blocks]))
@@ -958,9 +992,9 @@ def test_value_path_drifts_from_libm_by_at_most_the_stated_delta(scheme):
 
 @pytest.mark.parametrize("size", [1, 3, 1000, 7000, 16385])
 def test_value_path_is_elementwise_across_chunks(size):
-    # 40401 nodes take one chunk (the large-grid test below crosses chunk
-    # edges); a few nodes take many elements per call, and 13 elements leave
-    # a last, smaller group
+    # the 40401 nodes, and 16385 of them, take one element per _sincos call;
+    # a few nodes take all 13 elements per call, and 7000 nodes take 4, so
+    # that a last, smaller group is left
     g = ArrayGeometry(n_antennas=13, carrier_hz=3e9)
     coeffs = fieldmap._phase_coefficients(g, random_fda_plan(g, 1e6, 2), BOB)
     spec = GridSpec(0.0, 40.0, 0.0, 40.0, 0.2)
@@ -970,14 +1004,32 @@ def test_value_path_is_elementwise_across_chunks(size):
     iy, ix = rng.integers(0, spec.n_y, size), rng.integers(0, spec.n_x, size)
     iy[0], ix[0] = 0, 0  # the origin, nan
     iy[-1], ix[-1] = spec.n_y - 1, spec.n_x - 1
-    np.testing.assert_array_equal(fieldmap._correlation_block(coeffs, xs[ix], ys[iy]),
-                                  full[iy, ix])
+    gathered = fieldmap._correlation_block(coeffs, xs[ix], ys[iy])
+    np.testing.assert_array_equal(gathered, full[iy, ix])
+    assert gathered.base is None  # no view that keeps the kernel's workspace alive
+
+
+def test_mask_path_recomputes_no_node_with_a_far_focus():
+    # a focus 50 km away puts the phases beyond the range _sincos takes
+    # unchecked, and no node of this grid lies near the cut, so the float64
+    # recompute gets an empty node set
+    g = ArrayGeometry(n_antennas=16, carrier_hz=28e9)
+    bob = PolarPoint(50000.0, math.radians(10.0))
+    spec = GridSpec(1.0, 1.2, 1.0, 1.2, 0.1)
+    plan = lpa_plan(g)
+    with pytest.warns(UserWarning, match="outside the grid"):
+        exact = extract_noncovert(evaluate_grid(g, plan, bob, spec), "kl", 1e-20)
+    with pytest.warns(UserWarning, match="outside the grid"):
+        assert_same_region(exact, noncovert_region(g, plan, bob, spec, "kl", 1e-20))
+    coeffs = fieldmap._phase_coefficients(g, plan, bob)
+    assert fieldmap._correlation_block(coeffs, np.empty(0), np.empty(0)).shape == (0,)
 
 
 def test_value_path_is_elementwise_across_chunks_of_a_large_grid():
-    # 8 x (_CHUNK // 512 + 1) rows of 512 nodes: the full grid takes 9
-    # chunks, a row block of one thread (an eighth of the rows) 2, and one
-    # of three threads 1; _CHUNK + 1 gathered nodes take 2
+    # 8 x (_CHUNK // 512 + 1) rows of 512 nodes: evaluate_grid cuts them
+    # into nine bands of _CHUNK // 512 rows, the last of 8 rows, and each
+    # band's values must equal the whole grid's, taken in one piece, as must
+    # those of _CHUNK + 1 gathered nodes
     chunk = fieldmap._CHUNK
     n_x, n_y = 512, 8 * (chunk // 512 + 1)
     spec = GridSpec(0.0, 0.25 * (n_x - 1), 0.0, 0.25 * (n_y - 1), 0.25)
