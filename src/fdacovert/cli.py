@@ -7,7 +7,8 @@ and it is still empty, so it leaves nothing behind.
 Values are written as fmt writes them.  The grid CSVs of heatmap and region,
 one 'x,y,value' line per cell, are written a block of rows at a time, each
 block's text formed in whole-array numpy calls by _csvtext.grid_text, byte
-for byte what fmt writes per cell.
+for byte what fmt writes per cell.  heatmap writes each row band of a map
+as it is evaluated (fieldmap.value_bands), so no process holds the map.
 Exit codes: 0 success, 1 config error, 2 runtime error, 3 selftest failure.
 """
 
@@ -17,7 +18,7 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import replace
 from typing import Iterable, List, Optional, Sequence
 
@@ -44,6 +45,7 @@ from .fieldmap import (
     monte_carlo_rate,
     noncovert_region,
     sweep,
+    value_bands,
 )
 from .geometry import ArrayGeometry, DomainError
 from .schemes import (
@@ -104,9 +106,14 @@ def _base_metadata(cfg: ExperimentConfig, subcommand: str) -> dict:
     return meta
 
 
-def _grid_rows(spec: GridSpec, column: np.ndarray):
-    """Text of column's cells, 'x,y,value' lines y-outer row-major, a block of rows at a time."""
-    return grid_blocks([fmt(x) for x in spec.xs()], [fmt(y) for y in spec.ys()], column)
+def _grid_rows(spec: GridSpec, bands):
+    """Text of the cells of bands, 'x,y,value' lines y-outer row-major, a block of rows at a time.
+
+    bands yields (first row, values of the rows from it) in row order.
+    """
+    x_text, y_text = [fmt(x) for x in spec.xs()], [fmt(y) for y in spec.ys()]
+    for i0, band in bands:
+        yield from grid_blocks(x_text, y_text[i0:i0 + len(band)], band)
 
 
 def _region(cfg: ExperimentConfig) -> RegionSpec:
@@ -150,11 +157,13 @@ def _load_plan_file(path: str, g: ArrayGeometry) -> FrequencyPlan:
 
 
 def cmd_heatmap(cfg: ExperimentConfig, out_dir: str) -> List[str]:
+    """heatmap_<scheme>.csv: each scheme's value map, written band by band as it is evaluated."""
     written = []
+    grid = cfg.grid()
     for scheme in cfg.sweep_schemes:
         plan = _plan_for(cfg, scheme)
-        fmap = evaluate_grid(cfg.geometry(), plan, cfg.bob(), cfg.grid())
-        if fmap.metadata["bob_cell"] is None:
+        metadata, bands = value_bands(cfg.geometry(), plan, cfg.bob(), grid)
+        if metadata["bob_cell"] is None:
             raise DomainError(
                 "heatmap values are normalized to the focus cell, and the focus "
                 "lies outside the grid; use a grid that contains the focus"
@@ -162,10 +171,9 @@ def cmd_heatmap(cfg: ExperimentConfig, out_dir: str) -> List[str]:
         meta = _base_metadata(cfg, "heatmap")
         meta.update(scheme=scheme, seed=fmt(plan.seed), step_m=fmt(cfg.step_m))
         path = os.path.join(out_dir, f"heatmap_{scheme}.csv")
-        rows = _grid_rows(fmap.spec, fmap.values)
-        emit_csv(path, ["x_m", "y_m", "normalized_power"], rows, meta)
+        with closing(bands):  # a failed write stops the workers
+            emit_csv(path, ["x_m", "y_m", "normalized_power"], _grid_rows(grid, bands), meta)
         written.append(path)
-        del fmap, rows  # one map at a time: free this one before the next is built
     return written
 
 
@@ -189,7 +197,7 @@ def cmd_region(cfg: ExperimentConfig, out_dir: str, plan_file: Optional[str] = N
             threshold_value=fmt(value),
         )
         path = os.path.join(out_dir, f"region_{scheme}.csv")
-        emit_csv(path, ["x_m", "y_m", "non_covert"], _grid_rows(grid, region.mask), meta)
+        emit_csv(path, ["x_m", "y_m", "non_covert"], _grid_rows(grid, [(0, region.mask)]), meta)
         written.append(path)
         summary.append(
             (scheme, region.n_noncovert, region.area_m2, region.area_fraction)

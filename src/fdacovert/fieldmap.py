@@ -21,11 +21,16 @@ Two paths form phases with channel._element_phases, as the region search does:
   rectangle per map, the rows and columns within the reach radius r*
   derived in noncovert_region: the square of side r* on the default grid.
 
-A map is cut into row bands of up to _CHUNK nodes (_run_row_blocks),
-whatever the thread count.  FDACOVERT_THREADS (resolve_threads) sets how
-many forked worker processes (_pool_map) evaluate a map's bands, or run a
-sweep's plan searches and masks, each mask in one process; a map of one
-band runs in the calling process.  No output depends on it.
+A map is cut into row bands of up to _CHUNK nodes (_row_bands), whatever
+the thread count, and comes as a stream of bands in row order.
+value_bands streams the value path's bands, normalized, so that heatmap
+writes each band's text as it arrives and no process holds the whole map;
+evaluate_grid and noncovert_region fill their arrays band by band.
+monte_carlo_rate draws its cells _CHUNK at a time.  FDACOVERT_THREADS
+(resolve_threads) sets how many forked worker processes (_pool_map)
+evaluate a map's bands, or run a sweep's plan searches and masks, each mask
+in one process; a map of one band runs in the calling process.  No output
+depends on it.
 """
 
 from __future__ import annotations
@@ -470,20 +475,20 @@ def _float32_block(coeffs, nodes: _Nodes):
     return _power(acc_re.astype(float), acc_im.astype(float), k.size), bound
 
 
-def _run_row_blocks(band, ys, out, n_threads: Optional[int]) -> None:
-    """out[i0:i1] = band(ys[i0:i1, None]) for each band of the grid rows ys, on _pool_map.
+def _row_bands(band, ys, n_cols: int, n_threads: Optional[int]):
+    """(i0, band(ys[i0:i1, None])) for each band of the grid rows ys, in row order, on _pool_map.
 
-    band is a picklable function of a band's y nodes, as a column.  A band
-    is as many rows of out as fit in _CHUNK nodes, at least one, whatever
-    the thread count, so a map of up to _CHUNK nodes is one job and starts
-    no worker.  The bands are disjoint, so the result is the same for any
-    thread count.
+    band is a picklable function of a band's y nodes, as a column, that
+    gives n_cols values per row.  A band is as many rows as fit in _CHUNK
+    nodes, at least one, whatever the thread count, so a map of up to
+    _CHUNK nodes is one job and starts no worker.  The bands are disjoint,
+    so they are the same for any thread count.  _pool_map is lazy: nothing
+    runs before the first band is asked for.
     """
-    band_rows = max(1, _CHUNK // max(1, out.shape[1]))
+    band_rows = max(1, _CHUNK // max(1, n_cols))
     starts = range(0, ys.size, band_rows)
     bands = _pool_map(band, [ys[i0:i0 + band_rows, None] for i0 in starts], n_threads)
-    for i0, values in zip(starts, bands, strict=True):  # strict: the map runs to its end
-        out[i0:i0 + band_rows] = values
+    return zip(starts, bands, strict=True)  # strict: the map runs to its end
 
 
 def _focus_normalizer(coeffs, bob: PolarPoint, spec: GridSpec):
@@ -525,6 +530,36 @@ def _beyond_rayleigh(g: ArrayGeometry, spec: GridSpec) -> bool:
     return exceeds
 
 
+def value_bands(
+    g: ArrayGeometry,
+    plan: FrequencyPlan,
+    bob: PolarPoint,
+    spec: GridSpec,
+    n_threads: Optional[int] = None,
+):
+    """(metadata, bands): evaluate_grid's metadata and its values as a stream of row bands.
+
+    The focus normalizer and the Rayleigh check run here, with their
+    warnings and errors, before any band.  bands yields (first row, values
+    of the rows from it) in row order, each band evaluated when it is asked
+    for, on n_threads worker processes (_row_bands), and divided by the
+    normalizer: 1.0 when the focus is off the grid, by which x / 1.0 = x.
+    """
+    coeffs = _phase_coefficients(g, plan, bob)
+    bob_cell, normalizer = _focus_normalizer(coeffs, bob, spec)
+    meta = {
+        "scheme": plan.scheme,
+        "n_antennas": g.n_antennas,
+        "wavelength_m": g.wavelength_m,
+        "bob_cell": bob_cell,
+        "bob_cell_raw_correlation": normalizer,
+        "grid_exceeds_rayleigh": _beyond_rayleigh(g, spec),
+    }
+    band = partial(_correlation_block, coeffs, spec.xs()[None, :])
+    raw = _row_bands(band, spec.ys(), spec.n_x, n_threads)
+    return meta, ((i0, np.divide(values, normalizer, out=values)) for i0, values in raw)
+
+
 def evaluate_grid(
     g: ArrayGeometry,
     plan: FrequencyPlan,
@@ -536,26 +571,13 @@ def evaluate_grid(
 
     Cell (iy, ix) holds the value at node (x_i, y_i); the r = 0 node (the
     array origin) is flagged invalid as NaN, so a focus within step/2 of the
-    origin leaves nothing to normalize by and raises DomainError.  Row
-    bands are evaluated on n_threads worker processes (_run_row_blocks), and
-    the result is identical for any count.
+    origin leaves nothing to normalize by and raises DomainError.  The map
+    is value_bands' bands put together, and is identical for any n_threads.
     """
-    coeffs = _phase_coefficients(g, plan, bob)
-    bob_cell, normalizer = _focus_normalizer(coeffs, bob, spec)
+    meta, bands = value_bands(g, plan, bob, spec, n_threads)
     values = np.empty((spec.n_y, spec.n_x))
-    band = partial(_correlation_block, coeffs, spec.xs()[None, :])
-    _run_row_blocks(band, spec.ys(), values, n_threads)
-    if bob_cell is not None:
-        values /= normalizer
-
-    meta = {
-        "scheme": plan.scheme,
-        "n_antennas": g.n_antennas,
-        "wavelength_m": g.wavelength_m,
-        "bob_cell": bob_cell,
-        "bob_cell_raw_correlation": normalizer,
-        "grid_exceeds_rayleigh": _beyond_rayleigh(g, spec),
-    }
+    for i0, band in bands:
+        values[i0:i0 + len(band)] = band
     return FieldMap(spec=spec, values=values, metadata=meta)
 
 
@@ -698,8 +720,10 @@ def noncovert_region(
 
     mask = np.zeros((spec.n_y, spec.n_x), dtype=bool)
     rows, cols = span(ys, xs), span(xs, ys)
-    _run_row_blocks(partial(_mask_band, coeffs, xs[cols], rule), ys[rows], mask[rows, cols],
-                    n_threads)
+    live = mask[rows, cols]
+    band = partial(_mask_band, coeffs, xs[cols], rule)
+    for i0, block in _row_bands(band, ys[rows], live.shape[1], n_threads):
+        live[i0:i0 + len(block)] = block
     return _region_result(spec, mask)
 
 
@@ -954,7 +978,10 @@ def monte_carlo_rate(
     area_fraction, and scores 0 inside the non-covert mask and the
     (location independent) finite-blocklength rate outside, so the mean
     converges to rate * (1 - area_fraction); the reported standard error
-    is the sample binomial one.
+    is the sample binomial one.  The cells are drawn from one Generator
+    _CHUNK at a time and counted block by block, so memory stays bounded
+    whatever n_samples; PCG64 keeps the unused half of a 64-bit draw in its
+    state, so the blocks draw exactly the cells of one draw of n_samples.
     """
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
@@ -966,8 +993,11 @@ def monte_carlo_rate(
     rate = covert_rate(gamma, budget.blocklength, budget.frame_error_prob)
 
     rng = np.random.default_rng(seed)
-    detected = region.mask.ravel()[rng.integers(grid.n_cells, size=n_samples)]
-    n_covert = int(n_samples - np.count_nonzero(detected))
+    mask = region.mask.ravel()
+    n_covert = n_samples
+    for start in range(0, n_samples, _CHUNK):
+        cells = rng.integers(grid.n_cells, size=min(_CHUNK, n_samples - start))
+        n_covert -= int(np.count_nonzero(mask[cells]))
     p_covert = n_covert / n_samples
     mean = rate * p_covert
     std_error = rate * math.sqrt(p_covert * (1.0 - p_covert) / n_samples)

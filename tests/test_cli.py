@@ -9,7 +9,7 @@ import stat
 import subprocess
 import sys
 import textwrap
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -545,14 +545,13 @@ def test_grid_csvs_equal_per_cell_reference(tmp_path, monkeypatch, sub):
     # must equal the float64 value path's mask
     maps = []
     if sub == "heatmap":
-        evaluate = cli.evaluate_grid
+        stream = cli.value_bands
 
-        def recording(*args, **kwargs):
-            fmap = evaluate(*args, **kwargs)
-            maps.append((fmap.metadata["scheme"], fmap.spec, fmap.values))
-            return fmap
+        def recording(g, plan, bob, spec):
+            maps.append((plan.scheme, spec, evaluate_grid(g, plan, bob, spec).values))
+            return stream(g, plan, bob, spec)
 
-        monkeypatch.setattr(cli, "evaluate_grid", recording)
+        monkeypatch.setattr(cli, "value_bands", recording)
     else:
         certify = cli.noncovert_region
 
@@ -634,20 +633,22 @@ def test_sweep_bytes_do_not_depend_on_fdacovert_threads(tmp_path, monkeypatch, m
 
 
 def test_heatmap_holds_one_map_at_a_time(tmp_path, monkeypatch):
-    # each map is freed before the next is built, so heatmap's peak memory
-    # holds one map whatever the number of schemes
-    maps = []
-
-    def evaluate_grid(*args, **kwargs):
-        assert all(m() is None for m in maps)
-        fmap = fieldmap.evaluate_grid(*args, **kwargs)
-        maps.append(weakref.ref(fmap))
-        return fmap
-
-    monkeypatch.setattr(cli, "evaluate_grid", evaluate_grid)
-    args = FAST + ["--set", "sweep.schemes=LPA,LinearFDA,RandomFDA"]
-    assert run_cli(["heatmap", "--out", str(tmp_path / "out")] + args) == 0
-    assert len(maps) == 3
+    # heatmap writes each row band's text as the band is evaluated, so it
+    # never holds a whole map: at one thread, 601 x 601 cells (a 2.9 MB
+    # float64 map) in bands of 6 rows peak at ~1.6 MB, the text and the
+    # kernel's workspace of one band, whatever the number of schemes
+    monkeypatch.setenv("FDACOVERT_THREADS", "1")
+    monkeypatch.setattr(fieldmap, "_CHUNK", 4096)
+    args = ["--set", "grid.x_max_m=24", "--set", "grid.y_max_m=24", "--set", "grid.step_m=0.04",
+            "--set", "geometry.n_antennas=16", "--set", "sweep.schemes=LPA,LinearFDA"]
+    tracemalloc.start()
+    try:
+        assert run_cli(["heatmap", "--out", str(tmp_path / "out")] + args) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(os.listdir(tmp_path / "out")) == 2
+    assert peak < 601 * 601 * 8
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
@@ -815,10 +816,22 @@ def test_sweep_reports_the_first_error_in_row_order(
     assert not out.exists() or not os.listdir(out)
 
 
-def test_heatmap_with_focus_off_grid_exits_2(tmp_path, capsys):
+def test_heatmap_with_focus_off_grid_exits_2(tmp_path, capsys, monkeypatch):
+    # heatmap refuses the map before it evaluates any band of it
+    kernel, calls = fieldmap._correlation_block, []
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(fieldmap, "_correlation_block", counting)
     out = str(tmp_path / "out")
-    with pytest.warns(UserWarning, match="outside the grid"):
+    with pytest.warns(UserWarning) as caught:
         assert run_cli(["heatmap", "--out", out] + OFF_GRID) == 2
+    assert [str(w.message) for w in caught] == [
+        "focus point lies outside the grid; peak normalization skipped"
+    ]
+    assert not calls
     err = capsys.readouterr().err
     assert "error:" in err and "focus" in err
     assert not os.path.exists(out) or not os.listdir(out)

@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import os
 import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 from functools import partial
@@ -889,6 +890,40 @@ def test_monte_carlo_weighs_every_cell_as_area_fraction_does(monkeypatch):
     f = result.area_fraction
     detected = 1.0 - result.n_covert / n
     assert abs(detected - f) <= 5.0 * math.sqrt(f * (1.0 - f) / n)
+
+
+@pytest.mark.parametrize("mode", ["fraction", "kl"])
+def test_monte_carlo_block_draws_give_the_cells_of_one_draw(mode):
+    # the cells are drawn _CHUNK at a time; three whole blocks and an odd
+    # remainder must count exactly what one draw of every sample counts
+    value = 0.1 if mode == "fraction" else CovertnessBudget(1.0, 100, 1e-9, 0.1).threshold_q
+    plan = random_fda_plan(G, 1e6, 7)
+    n = 3 * fieldmap._CHUNK + 17
+    result = monte_carlo_rate(G, plan, BOB, BUDGET, SMALL, n, seed=5,
+                              threshold_mode=mode, threshold_value=value)
+    mask = noncovert_region(G, plan, BOB, SMALL, mode, value).mask.ravel()
+    cells = np.random.default_rng(5).integers(SMALL.n_cells, size=n)
+    assert result.n_covert == n - np.count_nonzero(mask[cells])
+    assert 0 < result.n_covert < n
+
+
+def test_monte_carlo_samples_in_bounded_memory(monkeypatch):
+    # one draw of 10^6 cell indices would be an 8 MB int64 array; a block
+    # of _CHUNK is 0.26 MB
+    mask = np.zeros((SMALL.n_y, SMALL.n_x), dtype=bool)
+    mask[::2] = True
+    monkeypatch.setattr(
+        fieldmap, "noncovert_region",
+        lambda g, plan, bob, spec, mode, value: fieldmap._region_result(spec, mask),
+    )
+    tracemalloc.start()
+    try:
+        result = monte_carlo_rate(G, lpa_plan(G), BOB, BUDGET, SMALL, 1_000_000, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < result.n_covert < 1_000_000
+    assert peak < 2_000_000
 
 
 # ------------------------------------------- the value path's table-driven sin/cos
