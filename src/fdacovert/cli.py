@@ -376,10 +376,10 @@ def _selftest_checks(cfg: ExperimentConfig):
         return True
 
     small = GridSpec(0.0, 8.0, 0.0, 8.0, 0.1)
+    # 201 x 201 nodes make two row bands, which 3 threads run on workers
+    wide = GridSpec(0.0, 20.0, 0.0, 20.0, 0.1)
 
     def check_map_determinism():
-        # 201 x 201 nodes make two row bands, which 3 threads run on workers
-        wide = GridSpec(0.0, 20.0, 0.0, 20.0, 0.1)
         plan = _plan_for(cfg, "RandomFDA", seed=1)
         a = evaluate_grid(g, plan, bob, wide, n_threads=1)
         b = evaluate_grid(g, plan, bob, wide, n_threads=3)
@@ -393,11 +393,16 @@ def _selftest_checks(cfg: ExperimentConfig):
         # configured extent, 80 nodes along its longer side, reaches past kl
         # mode's reach radius, where the mask path evaluates no node; its
         # step is at most r_b / 2, so the focus never shares the origin's cell.
+        # Whatever the configured mode, the kl mask at the budget's q is
+        # compared on the wide grid too: its far corner lies beyond the
+        # reach radius at the defaults, so the second of its two bands
+        # evaluates a staircase step narrower than the grid.
         plan = _plan_for(cfg, "RandomFDA", seed=1)
-        mode, value = cfg.effective_threshold()
+        configured = cfg.effective_threshold()
         grid = cfg.grid()
         extent = max(grid.x_max_m - grid.x_min_m, grid.y_max_m - grid.y_min_m)
         coarse = replace(grid, step_m=min(extent / 79, bob.r_m / 2))
+        kl = ("kl", cfg.covertness_budget().threshold_q)
         return (
             max(lattice_errors(g, plan, bob, grid)) <= 1.0
             and all(
@@ -405,7 +410,7 @@ def _selftest_checks(cfg: ExperimentConfig):
                     extract_noncovert(evaluate_grid(g, plan, bob, spec), mode, value).mask,
                     noncovert_region(g, plan, bob, spec, mode, value).mask,
                 )
-                for spec in (small, coarse)
+                for spec, (mode, value) in ((small, configured), (coarse, configured), (wide, kl))
             )
         )
 

@@ -714,11 +714,13 @@ KL_Q = CovertnessBudget(1.0, 100, 1e-9, 0.1).threshold_q  # the default budget's
         ("RandomFDA", (1e-9, 7.05), (-1.0, 1.0, 6.0, 8.0)),
     ],
 )
-def test_kl_reach_boundary_through_the_focus_cell(scheme, focus, extent):
+def test_kl_reach_boundary_through_the_focus_cell(monkeypatch, scheme, focus, extent):
     # q at the focus cell's own gain puts r* = lambda / (4 pi) sqrt(1 / (q N)),
     # beyond which no cell can be detected, at the focus cell's radius.  The
     # focus lies on (or 1 nm from) a grid node, so that cell's raw value is 1
-    # up to rounding, where the reach cut has the least margin.
+    # up to rounding, where the reach cut has the least margin.  Bands of
+    # about 128 nodes put staircase steps through the focus cell's rows
+    monkeypatch.setattr(fieldmap, "_CHUNK", 128)
     bob = PolarPoint(math.hypot(*focus), math.atan2(focus[1], focus[0]))
     around = GridSpec(*extent, 0.05)
     plan = build_plan(scheme, G, bob, 1e6, seed=3)
@@ -749,12 +751,19 @@ def test_kl_mask_path_evaluates_only_nodes_within_reach(monkeypatch, jobs_here):
     monkeypatch.setattr(fieldmap, "_float32_block", counting)
     plan = random_fda_plan(G, 1e6, 1)
     fmap = evaluate_grid(G, plan, BOB, FAR)
+    # the kl map in 15 bands of 3 rows, whose staircase steps follow the disc
+    monkeypatch.setattr(fieldmap, "_CHUNK", 2 * FAR.n_x)
+    r = np.hypot(FAR.xs()[None, :], FAR.ys()[:, None])
+    r_star = G.wavelength_m / (4.0 * math.pi) * math.sqrt(1.0 / (KL_Q * G.n_antennas))
+    disc = int(np.count_nonzero(r <= r_star))
+    assert 0.22 < disc / FAR.n_cells < 0.23  # r* = 21.5 m: the quarter disc's share
     for mode, value in (("kl", KL_Q), ("fraction", 0.1)):
         evaluated.clear()
         region = noncovert_region(G, plan, BOB, FAR, mode, value)
         assert_same_region(extract_noncovert(fmap, mode, value), region)
-        if mode == "kl":  # r* = 21.5 m: under a quarter of the grid lies within it
-            assert sum(evaluated) < 0.3 * FAR.n_cells
+        if mode == "kl":
+            assert len(evaluated) == 15
+            assert disc <= sum(evaluated) < 0.24 * FAR.n_cells
         else:  # the fractional cut never exceeds the focus cell's value
             assert sum(evaluated) == FAR.n_cells
 
@@ -797,12 +806,14 @@ def test_kl_column_span_matches_the_value_path(monkeypatch, jobs_here, extent, f
 @pytest.mark.parametrize("grid", [FAR, GridSpec(-30.0, 28.0, -26.0, 32.0, 0.5)])
 @pytest.mark.parametrize("threads", [1, 3])
 def test_mask_path_evaluates_one_rectangle_per_map(monkeypatch, jobs_here, grid, threads):
-    # kl mode: every row block gets the same columns, and the blocks
-    # together evaluate the rectangle of the rows and columns v with
-    # cut(|v|) = q N / beta^2(|v|) <= reach, 1 + 8 (N + 4) eps64; both grids
-    # hold x = 0 and y = 0.  Fraction mode evaluates every cell.  Bands of
-    # about 1024 nodes split each rectangle into 2 to 15 of them, the same
-    # at any thread count
+    # kl mode: one rectangle per map, the rows and columns v whose nodes can
+    # lie within reach, is cut into bands of about 1024 nodes, 2 to 15 of
+    # them, the same at any thread count.  Each band evaluates only its
+    # staircase step: the rectangle's columns x with cut(hypot(x, m)
+    # (1 - 4 eps64)) <= reach, where m is the band's least |y|, cut(r) =
+    # q N / beta^2(r) and reach = 1 + 8 (N + 4) eps64.  Every node with
+    # cut(r) <= reach is evaluated.  Fraction mode evaluates every cell.
+    # Both grids hold x = 0 and y = 0
     blocks = []
     float32_block = fieldmap._float32_block
 
@@ -813,20 +824,36 @@ def test_mask_path_evaluates_one_rectangle_per_map(monkeypatch, jobs_here, grid,
     monkeypatch.setattr(fieldmap, "_float32_block", recording)
     monkeypatch.setattr(fieldmap, "_CHUNK", 1024)
     plan = random_fda_plan(G, 1e6, 1)
-    reach = 1.0 + 8.0 * (G.n_antennas + 4) * np.finfo(float).eps
+    eps = np.finfo(float).eps
+    reach = 1.0 + 8.0 * (G.n_antennas + 4) * eps
 
-    def within(v):
+    def cut(r):
         with np.errstate(divide="ignore"):
-            cut = KL_Q * G.n_antennas / fieldmap._beta_sq(G.wavelength_m, np.abs(v))
-        live = np.flatnonzero(cut <= reach)
-        assert np.array_equal(live, np.arange(live[0], live[-1] + 1))
-        return v[live]
+            return KL_Q * G.n_antennas / fieldmap._beta_sq(G.wavelength_m, r)
 
-    cols, rows = within(grid.xs()), within(grid.ys())
-    assert 0 < cols.size * rows.size < grid.n_cells
-    for mode, value, xs, ys in (
-        ("kl", KL_Q, cols, rows),
-        ("fraction", 0.1, grid.xs(), grid.ys()),
+    def within(v, m):
+        live = np.flatnonzero(cut(np.hypot(v, m) * (1.0 - 4.0 * eps)) <= reach)
+        assert np.array_equal(live, np.arange(live[0], live[-1] + 1))
+        return slice(live[0], live[-1] + 1)
+
+    xs, ys = grid.xs(), grid.ys()
+    r = np.hypot(xs[None, :], ys[:, None])
+    rows, cols = within(ys, np.abs(xs).min()), within(xs, np.abs(ys).min())
+    band_rows = 1024 // (cols.stop - cols.start)
+    steps = []  # (rows, columns) of each band's step
+    for i0 in range(rows.start, rows.stop, band_rows):
+        band = slice(i0, min(i0 + band_rows, rows.stop))
+        step = within(xs[cols], np.abs(ys[band]).min())
+        steps.append((band, slice(cols.start + step.start, cols.start + step.stop)))
+    staircase = np.zeros(r.shape, dtype=bool)
+    for band, step in steps:
+        staircase[band, step] = True
+    assert staircase[cut(r) <= reach].all()
+    assert 0 < staircase.sum() < r[rows, cols].size < grid.n_cells
+    band_rows = 1024 // grid.n_x
+    for mode, value, expected in (
+        ("kl", KL_Q, [r[band, step] for band, step in steps]),
+        ("fraction", 0.1, [r[i0:i0 + band_rows] for i0 in range(0, grid.n_y, band_rows)]),
     ):
         shapes = {}
         for n_threads in (1, threads):
@@ -834,11 +861,75 @@ def test_mask_path_evaluates_one_rectangle_per_map(monkeypatch, jobs_here, grid,
             noncovert_region(G, plan, BOB, grid, mode, value, n_threads=n_threads)
             shapes[n_threads] = [b.shape for b in blocks]
         assert shapes[1] == shapes[threads]
-        assert len(blocks) > 1 and {b.shape[1] for b in blocks} == {xs.size}
-        assert sum(b.size for b in blocks) == xs.size * ys.size
-        evaluated = np.sort(np.concatenate([b.ravel() for b in blocks]))
-        expected = np.sort(np.hypot(xs[None, :], ys[:, None]).ravel())
-        np.testing.assert_array_equal(evaluated, expected)
+        assert len(blocks) == len(expected) > 1
+        for block, nodes in zip(blocks, expected):
+            np.testing.assert_array_equal(block, nodes)
+
+
+@pytest.mark.parametrize(
+    "extent, focus, peak",
+    [
+        # two-sided, with a node at y = 0: the peak's band holds rows on
+        # both sides of the x axis
+        ((-30.0, 28.0, -26.0, 32.0), (7.0, 0.0), (7.0, 0.0)),
+        # no node at y = 0: the peak's band straddles it, its least |y| 0.25 m
+        ((-30.0, 28.0, -26.25, 31.75), (7.0, 0.25), (7.0, 0.25)),
+        # the peak below the x axis, in the row nearest the axis of a band
+        # of negative y only, whose first row is farthest from it
+        ((-30.0, 28.0, -26.0, 32.0), (5.0, -4.0), (5.0, -4.0)),
+        # only negative x: the focus is off the grid, and its mirror image
+        # in the array's axis has the same value
+        ((-40.0, -0.5, -12.0, 30.0), (5.0, 5.0), (-5.0, 5.0)),
+        # offset from the origin: the least |x| and |y| are 3 and 2 m
+        ((3.0, 30.0, 2.0, 35.0), (6.0, 6.0), (6.0, 6.0)),
+    ],
+)
+def test_kl_staircase_matches_the_value_path(monkeypatch, extent, focus, peak):
+    # q at the peak cell's own gain puts r* through that cell, whose value
+    # is ~1, so it is detected on the edge of its band's staircase step.
+    # Bands of at most 128 nodes cut each map into 2 to 8 of them
+    monkeypatch.setattr(fieldmap, "_CHUNK", 128)
+    bands = []
+    mask_band = fieldmap._mask_band
+
+    def recording(coeffs, x, rule, y):
+        bands.append(y.ravel())
+        return mask_band(coeffs, x, rule, y)
+
+    monkeypatch.setattr(fieldmap, "_mask_band", recording)
+    grid = GridSpec(*extent, 0.5)
+    bob = PolarPoint(math.hypot(*focus), math.atan2(focus[1], focus[0]))
+    plan = random_fda_plan(G, 1e6, 1)
+    iy, ix = grid.cell_of(*peak)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "focus point lies outside the grid")
+        fmap = evaluate_grid(G, plan, bob, grid)
+        q = float(gains(fmap)[iy, ix])
+        exact = extract_noncovert(fmap, "kl", q)
+        assert_same_region(exact, noncovert_region(G, plan, bob, grid, "kl", q, 1))
+    assert exact.mask[iy, ix] and len(bands) > 1
+    (band,) = [y for y in bands if peak[1] in y]
+    assert (band[0] < 0.0 < band[-1]) == (abs(peak[1]) < 0.5)
+
+
+def test_kl_band_beyond_reach_is_false_and_unevaluated(monkeypatch):
+    # a band whose step is empty: rows beyond r* = 21.5 m over the columns
+    # of a two-sided grid.  Its block is full width and False, from no node
+    evaluated = []
+    float32_block = fieldmap._float32_block
+
+    def counting(coeffs, nodes):
+        evaluated.append(nodes.r.size)
+        return float32_block(coeffs, nodes)
+
+    monkeypatch.setattr(fieldmap, "_float32_block", counting)
+    plan = random_fda_plan(G, 1e6, 1)
+    coeffs = fieldmap._phase_coefficients(G, plan, BOB)
+    rule = ("kl", KL_Q, 1.0, G.wavelength_m, G.n_antennas)
+    x = np.arange(-40.0, 40.5, 0.5)
+    block = fieldmap._mask_band(coeffs, x, rule, np.arange(-30.0, -22.0, 0.5)[:, None])
+    assert block.shape == (16, x.size) and not block.any()
+    assert sum(evaluated) == 0
 
 
 @pytest.mark.parametrize(
