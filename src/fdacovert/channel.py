@@ -183,13 +183,16 @@ class _Nodes:
             self.inv_r = np.divide(1.0, self.r, out=inv_r)
             self.sin_t = np.multiply(y, self.inv_r, out=sin_t)
 
+    @classmethod
+    def of(cls, r, inv_r, sin_t):
+        """The nodes whose r, 1/r and sin(theta) are these arrays themselves."""
+        nodes = object.__new__(cls)
+        nodes.r, nodes.inv_r, nodes.sin_t = r, inv_r, sin_t
+        return nodes
+
     def astype(self, dtype):
         """The same nodes with r, 1/r and sin(theta) rounded to dtype."""
-        cast = object.__new__(_Nodes)
-        cast.r, cast.inv_r, cast.sin_t = (
-            a.astype(dtype) for a in (self.r, self.inv_r, self.sin_t)
-        )
-        return cast
+        return _Nodes.of(*(a.astype(dtype) for a in (self.r, self.inv_r, self.sin_t)))
 
 
 def _element_phases(coeffs, nodes: _Nodes, buffers=None):

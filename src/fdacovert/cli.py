@@ -30,6 +30,7 @@ from .channel import (
     SCHEME_OPTIMIZED,
     SCHEME_RANDOM,
     FrequencyPlan,
+    channel_gain_amplitude,
     channel_vector,
     mrt_weights,
     snr_bob,
@@ -378,6 +379,8 @@ def _selftest_checks(cfg: ExperimentConfig):
     small = GridSpec(0.0, 8.0, 0.0, 8.0, 0.1)
     # 201 x 201 nodes make two row bands, which 3 threads run on workers
     wide = GridSpec(0.0, 20.0, 0.0, 20.0, 0.1)
+    # as many nodes about the origin: the first band straddles y = 0
+    across = GridSpec(-10.0, 10.0, -10.0, 10.0, 0.1)
 
     def check_map_determinism():
         plan = _plan_for(cfg, "RandomFDA", seed=1)
@@ -396,22 +399,48 @@ def _selftest_checks(cfg: ExperimentConfig):
         # Whatever the configured mode, the kl mask at the budget's q is
         # compared on the wide grid too: its far corner lies beyond the
         # reach radius at the defaults, so the second of its two bands
-        # evaluates a staircase step narrower than the grid.
+        # evaluates a staircase step narrower than the grid.  So is each
+        # mode at the thresholds of two cells' own values and gains: the
+        # cells of the median value and of the median of the values of 0.1
+        # or more.  The cut then passes through a detected cell, in a tile
+        # that only a sound tile bound leaves undecided.  On the across
+        # grid the kl mask at the focus cell's own gain puts the reach
+        # radius through that cell, in a band whose first row is farthest
+        # from the x axis: only a step cut at the band's least |y| keeps it.
         plan = _plan_for(cfg, "RandomFDA", seed=1)
         configured = cfg.effective_threshold()
         grid = cfg.grid()
         extent = max(grid.x_max_m - grid.x_min_m, grid.y_max_m - grid.y_min_m)
         coarse = replace(grid, step_m=min(extent / 79, bob.r_m / 2))
-        kl = ("kl", cfg.covertness_budget().threshold_q)
-        return (
-            max(lattice_errors(g, plan, bob, grid)) <= 1.0
-            and all(
-                np.array_equal(
-                    extract_noncovert(evaluate_grid(g, plan, bob, spec), mode, value).mask,
-                    noncovert_region(g, plan, bob, spec, mode, value).mask,
-                )
-                for spec, (mode, value) in ((small, configured), (coarse, configured), (wide, kl))
+        maps = {spec: evaluate_grid(g, plan, bob, spec) for spec in (small, coarse, wide, across)}
+
+        def own_gain(spec, iy, ix):
+            # the cell's gain as extract_noncovert's kl mode forms it
+            fmap = maps[spec]
+            r = float(np.hypot(spec.xs()[ix], spec.ys()[iy]))
+            value = fmap.values[iy, ix] * fmap.metadata["bob_cell_raw_correlation"]
+            return value * channel_gain_amplitude(g, r) ** 2 / g.n_antennas
+
+        cases = [
+            (small, configured),
+            (coarse, configured),
+            (wide, ("kl", cfg.covertness_budget().threshold_q)),
+        ]
+        values = maps[wide].values
+        if maps[wide].metadata["bob_cell"] is not None:
+            finite = np.isfinite(values)
+            for pool in (finite, finite & (values >= 0.1)):
+                value = np.percentile(values[pool], 50, method="lower")
+                iy, ix = np.argwhere(values == value)[0]
+                cases += [(wide, ("fraction", value)), (wide, ("kl", own_gain(wide, iy, ix)))]
+        if maps[across].metadata["bob_cell"] is not None:
+            cases.append((across, ("kl", own_gain(across, *maps[across].metadata["bob_cell"]))))
+        return max(lattice_errors(g, plan, bob, grid)) <= 1.0 and all(
+            np.array_equal(
+                extract_noncovert(maps[spec], mode, float(value)).mask,
+                noncovert_region(g, plan, bob, spec, mode, float(value)).mask,
             )
+            for spec, (mode, value) in cases
         )
 
     return [

@@ -13,14 +13,18 @@ Two paths form phases with channel._element_phases, as the region search does:
   Its sin and cos come from one table-driven kernel (_sincos), within
   eps64 = 2^-52 of libm's;
 - the certified mask path, noncovert_region, gives only each cell's side of
-  the threshold.  It forms the phases in float32, relative to the carrier,
-  and sums their float32 sin/cos in float32 (_float32_block), then
-  recomputes in float64 the cells within the derived error bound of the
-  threshold, so its mask equals the value path's cell for cell.  region,
-  sweep and monte_carlo_rate use it.  In kl mode each row band evaluates
-  only its own columns within the reach radius r* derived in
+  the threshold, and its mask equals the value path's cell for cell.
+  region, sweep and monte_carlo_rate use it.  In kl mode each row band
+  looks only at its own columns within the reach radius r* derived in
   noncovert_region, inside one rectangle per map: a staircase around the
-  quarter disc of radius r* on the default grid.
+  quarter disc of radius r* on the default grid.  Each band's step is cut
+  into tiles of _TILE x _TILE nodes, and a tile is decided whole when a
+  certified first-order bound at one float32 anchor per tile
+  (_tile_screen) puts every value in it on one side of the threshold.
+  Only the nodes of the other tiles are evaluated: their phases formed in
+  float32, relative to the carrier, and their float32 sin/cos summed in
+  float32 (_float32_block), then, in float64, the nodes within the
+  derived error bound of the threshold.
 
 A map is cut into row bands of up to _CHUNK nodes (_row_bands), whatever
 the thread count, and comes as a stream of bands in row order.
@@ -209,6 +213,9 @@ _EXACT_STEPS = 2.0**33
 # row of a wider grid, and one of _correlation_block's _sincos calls up to
 # _CHUNK phases, or one element's over a wider band.
 _CHUNK = 1 << 15
+# The mask path screens each band's staircase step in tiles of _TILE x
+# _TILE nodes (_tile_screen).
+_TILE = 4
 
 
 def _unit_circle(steps):
@@ -408,6 +415,12 @@ def _float64_slack(n):
     return 8.0 * (n + 4) * _EPS64
 
 
+def _carrier_shifted(coeffs):
+    """(k - k0, c1, c2, ref - c0), k0 and c0 the midranges of k and ref: _float32_block's phases."""
+    k, c1, c2, ref = coeffs
+    return k - 0.5 * (k.min() + k.max()), c1, c2, ref - 0.5 * (ref.min() + ref.max())
+
+
 def _float32_block(coeffs, nodes: _Nodes):
     """(raw32, bound): the raw correlation in float32, and per node how far it may be off.
 
@@ -450,7 +463,7 @@ def _float32_block(coeffs, nodes: _Nodes):
     gets nan.
     """
     k, c1, c2, ref = coeffs
-    shifted = (k - 0.5 * (k.min() + k.max()), c1, c2, ref - 0.5 * (ref.min() + ref.max()))
+    shifted = _carrier_shifted(coeffs)
     shape = nodes.r.shape
     trig = np.empty(shape, dtype=np.float32)
     acc_re = np.zeros(shape, dtype=np.float32)
@@ -669,14 +682,23 @@ def noncovert_region(
     Areas, sweeps and rates need each cell's side of the threshold, not
     its value.  Per row band (_mask_band), every cell is compared in raw units
     (|S|^2 / N^2) with the cut: t times the focus cell's raw value
-    (fraction mode) or q N / beta^2(r) (kl mode).  The raw value comes from
-    float32 phases, sin/cos and sums (_float32_block).  A cell more than
-    _SAFETY times its error bound from the cut is on the side the float64
-    value would put it; the others, 0.01-0.05% of the cells on the default
-    and 0.02 m grids, are recomputed in float64 and put through
-    extract_noncovert's own predicate.  The focus cell's normalizer is the
-    float64 kernel's value.  So the mask equals the value path's cell for
-    cell, and only a bool mask is ever allocated for the whole grid.
+    (fraction mode) or q N / beta^2(r) (kl mode).  Three stages decide the
+    cells, each only those the one before leaves:
+      - the band's staircase step: no cell beyond reach (below) can be
+        detected, and the rest of the band is False;
+      - the tile screen (_tile_screen): a bound on every raw value of a
+        tile of _TILE x _TILE nodes of the step (below) may put the whole
+        tile on one side of its cuts;
+      - the raw value of each remaining node from float32 phases, sin/cos
+        and sums (_float32_block).  A node more than _SAFETY times its
+        error bound from the cut is on the side the float64 value would
+        put it; the others, 0.01-0.05% of the cells on the default and
+        0.02 m grids, are recomputed in float64 and put through
+        extract_noncovert's own predicate.
+    The focus cell's normalizer is the float64 kernel's value.  So the mask
+    equals the value path's cell for cell, and only a bool mask is ever
+    allocated for the whole grid.  Every operation on a node is
+    elementwise, so its values do not depend on its band, step or tile.
     Warnings and errors are evaluate_grid's and extract_noncovert's.
 
     No cell whose cut exceeds reach = 1 + _float64_slack(N) can be
@@ -691,7 +713,8 @@ def noncovert_region(
       - extract_noncovert's predicate value * ref * beta^2 / N >= q, with
         value = raw / ref, rounds four times, and cut = q N / beta^2 twice,
         with the same beta^2.  So a detected cell has cut <= raw (1 + u)^6
-        <= 1 + (N + 18) eps64 < reach.
+        <= 1 + (N + 18) eps64 < reach, and an undetected one cut > raw (1 -
+        u)^6.
     cut's float64 operations are monotone in r, so a lower bound on a
     node's computed r = hypot(x, y) decides it.  hypot is within an ulp of
     exact, so computed and exact radii differ by a factor of at most
@@ -708,16 +731,59 @@ def noncovert_region(
         band's row nearest the x axis, y = 0 itself in a band that holds
         it, so a band that straddles y = 0 keeps every column within r*
         of the origin, and a band beyond r* none.
-    _mask_band evaluates only its step's columns and leaves the rest
-    False.  The fractional cut is at most the focus cell's raw value, below
-    reach, so fraction mode evaluates every cell.  In kl mode the cut grows
-    as r^2 and exceeds reach beyond r* = lambda / (4 pi) sqrt(1 / (q N)),
+    The fractional cut is at most the focus cell's raw value, below reach,
+    so fraction mode's steps are whole bands.  In kl mode the cut grows as
+    r^2 and exceeds reach beyond r* = lambda / (4 pi) sqrt(1 / (q N)),
     21.5 m at the defaults, so on a grid with a corner at the origin the
-    bands evaluate a staircase around the quarter disc of radius r*: with
-    bands of 30 rows, 923,428 nodes of a 0.02 m grid, against the
-    1,157,776 of the square of side r* and the 909,569 of the disc.  Every
-    operation on a node is elementwise, so its values do not depend on its
-    band or its step.
+    steps form a staircase around the quarter disc of radius r*: with bands
+    of 30 rows, 923,428 nodes of a 0.02 m grid, against the 1,157,776 of
+    the square of side r* and the 909,569 of the disc.
+
+    The tile bound.  Each element's phase is linear in (r, 1/r,
+    sin(theta)): phi_n = a_n r + b_n / r - c_n sin(theta) - d_n, with the
+    carrier-shifted coefficients of _float32_block (_carrier_shifted),
+    which leave |S| as it is.  A tile's nodes, at most _TILE x _TILE of one
+    band's step, have computed r, 1/r and sin(theta) in a box with centre
+    p0 and half-widths h = (h_r, h_u, h_s), from its extreme coordinates:
+      - r between hypot(least |x|, least |y|) and hypot(greatest |x|,
+        greatest |y|), a least |v| being 0 in a tile that straddles v = 0,
+        widened by 4 eps64 either way as in _reach_span;
+      - 1/r between the reciprocals of those ends, widened by 4 eps64;
+      - sin(theta) = y / r, which rises with y and, where y > 0, falls as
+        |x| grows: its least at y_lo with the least |x| if y_lo < 0 and the
+        greatest otherwise, its greatest at y_hi with the least |x| if
+        y_hi > 0 and the greatest otherwise, widened by 8 eps64 (each of
+        the node's and the box's own values is within 2 eps64 of y / r).
+    The centre and half-widths are rounded outwards.  A tile that holds
+    the origin has 0 as its least r, 1/r unbounded and a nan bound, which
+    decides nothing.  A node's phase differs from p0's by at most D_n =
+    |a_n| h_r + |b_n| h_u + |c_n| h_s, and e^{jx} = 1 + jx + R with |R| <=
+    x^2 / 2, so, with the anchor sums S0 = sum_n e^{j phi_n(p0)} and
+    G = sum_n (a_n, b_n, c_n) e^{j phi_n(p0)},
+        |S - S0| <= sum_i |G_i| h_i + 1/2 sum_n D_n^2,
+    where sum_n D_n^2 = h^T Q h with Q = C C^T, C the 3 x N matrix of |a|,
+    |b| and |c|.  S0 and G are computed in float32, one matmul of the
+    anchor's phasors per band.  By _float32_block's argument each phasor is
+    off by at most e = 4 eps max_n T_n + sqrt(2) _TRIG_ULPS eps at the
+    anchor, and the weights' casts and the sums add (N + 2) eps (1 + e), so
+    S0 is within N e' of exact and G_i within e' sum_n C_in, with e' = e +
+    (N + 2) eps (1 + e); both are taken _SAFETY times.  That puts |S| / N
+    at every node of the tile within m0 +- w.  The float64 value path forms
+    its phases within delta64 = 4 eps64 mean_n T64_n, taken at the box's
+    greatest r, 1/r and |sin(theta)|, and its trig, accumulation and
+    squaring add _float64_slack(N) to raw; a second _float64_slack(N), at
+    least 40 eps64, covers the roundings of the bound's own float64
+    arithmetic and of the predicate, a few eps64 of values below 2 (a tile
+    whose upper end exceeds 2 is decided False only by a cut beyond
+    reach).  So every node's raw value lies within
+        [max(m0 - w - delta64, 0)^2 - 2 s, (m0 + w + delta64)^2 + 2 s],
+    s = _float64_slack(N).  The tile is False when the upper end lies
+    below the cut at the box's least r, and True when the lower end is at
+    or above the cut at its greatest r.  With RandomFDA plan seed 1 at
+    N = 64, _float32_block gets 122,164 of the default grid's 641,601
+    nodes in fraction mode (19.0%), after 40,401 anchors, and 90,712 of
+    the 923,428 step nodes of the 0.02 m kl map (9.8%), after 61,693; at
+    N = 16 the default fraction map sends 2.7-6.7% of its nodes.
     """
     coeffs = _phase_coefficients(g, plan, bob)
     bob_cell, normalizer = _focus_normalizer(coeffs, bob, spec)
@@ -750,22 +816,95 @@ def _reach_span(v, m, rule):
 def _mask_band(coeffs, x, rule, y):
     """noncovert_region's mask on the nodes (x, y); rule = (mode, t or q, normalizer, lam, N).
 
-    Only the columns of the band's staircase step (_reach_span) are
-    evaluated; the others are False.
+    Only the band's staircase step (_reach_span) is looked at, and the rest
+    is False.  _tile_screen decides the step's tiles it can; the nodes of
+    the others are gathered and evaluated node by node: float32
+    (_float32_block), and float64 within _SAFETY times its bound of the cut.
     """
     block = np.zeros((y.size, x.size), dtype=bool)
     cols = _reach_span(x, np.abs(y).min(), rule)
     x, step = x[cols], block[:, cols]
-    nodes = _Nodes(x[None, :], y)
+    decided, detected = _tile_screen(coeffs, x, y, rule)
+    step[...] = detected
+    iy, ix = np.nonzero(~decided)
+    nodes = _Nodes(x[ix], y[iy, 0])
     raw, bound = _float32_block(coeffs, nodes)
     with np.errstate(divide="ignore", invalid="ignore"):
         threshold = _cut(nodes.r, *rule)
-        np.greater_equal(raw, threshold, out=step)
+        step[iy, ix] = raw >= threshold
         raw -= threshold
-        near = np.nonzero(np.abs(raw, out=raw) <= _SAFETY * bound)
-    values = _correlation_block(coeffs, x[near[1]], y[near[0], 0]) / rule[2]
-    step[near] = _non_covert(values, *rule, nodes.r[near])
+        near = np.flatnonzero(np.abs(raw, out=raw) <= _SAFETY * bound)
+    iy, ix = iy[near], ix[near]
+    values = _correlation_block(coeffs, x[ix], y[iy, 0]) / rule[2]
+    step[iy, ix] = _non_covert(values, *rule, nodes.r[near])
     return block
+
+
+def _tile_spans(v):
+    """Per run of _TILE nodes of v: its least and greatest v, and its least and greatest |v|."""
+    starts = np.arange(0, v.size, _TILE)
+    lo, hi = np.minimum.reduceat(v, starts), np.maximum.reduceat(v, starts)
+    near = np.where((lo <= 0.0) & (hi >= 0.0), 0.0, np.minimum(np.abs(lo), np.abs(hi)))
+    return lo, hi, near, np.maximum(-lo, hi)
+
+
+def _tile_screen(coeffs, x, y, rule):
+    """(decided, detected) per node of x (a row) by y (a column): noncovert_region's tile screen.
+
+    The nodes are cut into tiles of _TILE x _TILE.  Each tile gets a box
+    of its nodes' computed r, 1/r and sin(theta), and a float32 anchor at
+    the box's centre: |S| and the three first-order sums there.  A tile is
+    decided, all False or all True, when the bound derived in
+    noncovert_region puts every raw value in it below its least cut or at
+    or above its greatest; the others are not decided.  A nan bound, as
+    that of a tile holding the origin, decides nothing.
+    """
+    n = coeffs[0].size
+    widen = 4.0 * _EPS64
+    _, _, x_near, x_far = _tile_spans(x)
+    y_lo, y_hi, y_near, y_far = (s[:, None] for s in _tile_spans(y[:, 0]))
+    with np.errstate(all="ignore"):
+        r = np.hypot(x_near, y_near) * (1.0 - widen), np.hypot(x_far, y_far) * (1.0 + widen)
+        # sin(theta) = y / r rises with y, and falls with |x| where y > 0
+        sin_t = (
+            y_lo / np.hypot(np.where(y_lo < 0.0, x_near, x_far), y_lo) - 2.0 * widen,
+            y_hi / np.hypot(np.where(y_hi > 0.0, x_near, x_far), y_hi) + 2.0 * widen,
+        )
+        box = np.array([r, ((1.0 - widen) / r[1], (1.0 + widen) / r[0]), sin_t])
+        shape = box.shape[2:]
+        lo, hi = box.reshape(3, 2, -1).transpose(1, 0, 2)  # (r, 1/r, sin(theta)) by tiles
+        centre = 0.5 * (lo + hi)
+        half = np.maximum(hi - centre, centre - lo) * (1.0 + widen)
+        shifted = _carrier_shifted(coeffs)
+        columns = tuple(c.astype(np.float32)[None, :, None] for c in shifted)
+        phase = next(_element_phases(columns, _Nodes.of(*centre[:, None].astype(np.float32))))
+        weights = np.array([np.ones(n), *shifted[:3]], dtype=np.float32)
+        sums = np.hypot((weights @ np.cos(phase)).astype(float),
+                        (weights @ np.sin(phase)).astype(float))  # |S0|, |G_r|, |G_u|, |G_s|
+        terms = np.abs(np.array(shifted[:3]))  # |d phase_n / d (r, 1/r, sin(theta))|
+        eps = float(np.finfo(np.float32).eps)
+        phasor = (4.0 * eps * (terms.max(axis=1) @ np.abs(centre) + np.abs(shifted[3]).max())
+                  + math.sqrt(2.0) * _TRIG_ULPS * eps)
+        error = _SAFETY * (phasor + (n + 2) * eps * (1.0 + phasor))
+        spread = (
+            (sums[1:] * half).sum(axis=0)
+            + error * (n + terms.sum(axis=1) @ half)
+            + 0.5 * ((terms @ terms.T @ half) * half).sum(axis=0)
+        ) / n
+        means = np.abs(np.array(coeffs)).mean(axis=1)
+        extreme = np.array([hi[0], hi[1], np.maximum(-lo[2], hi[2])])
+        spread += 4.0 * _EPS64 * (means[:3] @ extreme + means[3])
+        slack = 2.0 * _float64_slack(n)
+        low = np.maximum(sums[0] / n - spread, 0.0) ** 2 - slack
+        high = (sums[0] / n + spread) ** 2 + slack
+        detected = low >= _cut(hi[0], *rule)
+        decided = detected | (high < _cut(lo[0], *rule))
+
+    def nodes(tiles):
+        whole = np.repeat(np.repeat(tiles.reshape(shape), _TILE, 0), _TILE, 1)
+        return whole[:y.size, :x.size]
+
+    return nodes(decided), nodes(detected)
 
 
 def lattice_errors(g: ArrayGeometry, plan: FrequencyPlan, bob: PolarPoint, spec: GridSpec):

@@ -369,6 +369,29 @@ def jobs_here(monkeypatch):
     monkeypatch.setattr(fieldmap, "_pool_map", lambda fn, jobs, n_threads=None: map(fn, jobs))
 
 
+@pytest.fixture
+def screened(monkeypatch, jobs_here):
+    """Per mask band, in order: (the r of its staircase step's nodes, which the tile
+    screen decided).  The screen gets the step; _float32_block must get the
+    step's undecided nodes, in row order, so a subset of the step."""
+    bands = []
+    tile_screen, float32_block = fieldmap._tile_screen, fieldmap._float32_block
+
+    def screening(coeffs, x, y, rule):
+        decided, detected = tile_screen(coeffs, x, y, rule)
+        bands.append((fieldmap._Nodes(x[None, :], y).r, decided))
+        return decided, detected
+
+    def evaluating(coeffs, nodes):
+        step, decided = bands[-1]
+        np.testing.assert_array_equal(nodes.r, step[~decided])
+        return float32_block(coeffs, nodes)
+
+    monkeypatch.setattr(fieldmap, "_tile_screen", screening)
+    monkeypatch.setattr(fieldmap, "_float32_block", evaluating)
+    return bands
+
+
 def _pid_and(fn, job):
     """(the pid of the process that ran fn(job), fn(job))."""
     return os.getpid(), fn(job)
@@ -740,15 +763,7 @@ def test_kl_reach_boundary_through_the_focus_cell(monkeypatch, scheme, focus, ex
         assert_same_region(exact, noncovert_region(G, plan, bob, around, "kl", float(q)))
 
 
-def test_kl_mask_path_evaluates_only_nodes_within_reach(monkeypatch, jobs_here):
-    evaluated = []
-    float32_block = fieldmap._float32_block
-
-    def counting(coeffs, nodes):
-        evaluated.append(nodes.r.size)
-        return float32_block(coeffs, nodes)
-
-    monkeypatch.setattr(fieldmap, "_float32_block", counting)
+def test_kl_mask_path_evaluates_only_nodes_within_reach(monkeypatch, screened):
     plan = random_fda_plan(G, 1e6, 1)
     fmap = evaluate_grid(G, plan, BOB, FAR)
     # the kl map in 15 bands of 3 rows, whose staircase steps follow the disc
@@ -758,14 +773,15 @@ def test_kl_mask_path_evaluates_only_nodes_within_reach(monkeypatch, jobs_here):
     disc = int(np.count_nonzero(r <= r_star))
     assert 0.22 < disc / FAR.n_cells < 0.23  # r* = 21.5 m: the quarter disc's share
     for mode, value in (("kl", KL_Q), ("fraction", 0.1)):
-        evaluated.clear()
+        screened.clear()
         region = noncovert_region(G, plan, BOB, FAR, mode, value)
         assert_same_region(extract_noncovert(fmap, mode, value), region)
+        steps = sum(step.size for step, _ in screened)
         if mode == "kl":
-            assert len(evaluated) == 15
-            assert disc <= sum(evaluated) < 0.24 * FAR.n_cells
+            assert len(screened) == 15
+            assert disc <= steps < 0.24 * FAR.n_cells
         else:  # the fractional cut never exceeds the focus cell's value
-            assert sum(evaluated) == FAR.n_cells
+            assert steps == FAR.n_cells
 
 
 @pytest.mark.parametrize(
@@ -778,50 +794,36 @@ def test_kl_mask_path_evaluates_only_nodes_within_reach(monkeypatch, jobs_here):
         ((-30.0, 28.0, -26.0, 32.0), (5.0, 5.0)),
     ],
 )
-def test_kl_column_span_matches_the_value_path(monkeypatch, jobs_here, extent, focus):
-    evaluated = []
-    float32_block = fieldmap._float32_block
-
-    def counting(coeffs, nodes):
-        evaluated.append(nodes.r.size)
-        return float32_block(coeffs, nodes)
-
-    monkeypatch.setattr(fieldmap, "_float32_block", counting)
+def test_kl_column_span_matches_the_value_path(monkeypatch, screened, extent, focus):
     grid = GridSpec(*extent, 0.5)
     bob = PolarPoint(math.hypot(*focus), math.atan2(focus[1], focus[0]))
     plan = random_fda_plan(G, 1e6, 1)
     fmap = evaluate_grid(G, plan, bob, grid)
     for mode, value in (("kl", KL_Q), ("fraction", 0.1)):
-        evaluated.clear()
+        screened.clear()
         region = noncovert_region(G, plan, bob, grid, mode, value)
         assert_same_region(extract_noncovert(fmap, mode, value), region)
+        steps = sum(step.size for step, _ in screened)
         if mode == "fraction":
-            assert sum(evaluated) == grid.n_cells
+            assert steps == grid.n_cells
         elif extent[0] > 0:
-            assert region.n_noncovert == 0 and sum(evaluated) == 0
+            assert region.n_noncovert == 0 and steps == 0
         else:
-            assert region.n_noncovert > 0 and sum(evaluated) < 0.7 * grid.n_cells
+            assert region.n_noncovert > 0 and steps < 0.7 * grid.n_cells
 
 
 @pytest.mark.parametrize("grid", [FAR, GridSpec(-30.0, 28.0, -26.0, 32.0, 0.5)])
 @pytest.mark.parametrize("threads", [1, 3])
-def test_mask_path_evaluates_one_rectangle_per_map(monkeypatch, jobs_here, grid, threads):
+def test_mask_path_evaluates_one_rectangle_per_map(monkeypatch, screened, grid, threads):
     # kl mode: one rectangle per map, the rows and columns v whose nodes can
     # lie within reach, is cut into bands of about 1024 nodes, 2 to 15 of
-    # them, the same at any thread count.  Each band evaluates only its
-    # staircase step: the rectangle's columns x with cut(hypot(x, m)
+    # them, the same at any thread count.  Each band's tile screen gets only
+    # its staircase step: the rectangle's columns x with cut(hypot(x, m)
     # (1 - 4 eps64)) <= reach, where m is the band's least |y|, cut(r) =
     # q N / beta^2(r) and reach = 1 + 8 (N + 4) eps64.  Every node with
-    # cut(r) <= reach is evaluated.  Fraction mode evaluates every cell.
+    # cut(r) <= reach is in a step.  Fraction mode's steps are whole bands.
+    # _float32_block gets a subset of each step (the screened fixture).
     # Both grids hold x = 0 and y = 0
-    blocks = []
-    float32_block = fieldmap._float32_block
-
-    def recording(coeffs, nodes):
-        blocks.append(nodes.r.copy())
-        return float32_block(coeffs, nodes)
-
-    monkeypatch.setattr(fieldmap, "_float32_block", recording)
     monkeypatch.setattr(fieldmap, "_CHUNK", 1024)
     plan = random_fda_plan(G, 1e6, 1)
     eps = np.finfo(float).eps
@@ -857,13 +859,13 @@ def test_mask_path_evaluates_one_rectangle_per_map(monkeypatch, jobs_here, grid,
     ):
         shapes = {}
         for n_threads in (1, threads):
-            blocks.clear()
+            screened.clear()
             noncovert_region(G, plan, BOB, grid, mode, value, n_threads=n_threads)
-            shapes[n_threads] = [b.shape for b in blocks]
+            shapes[n_threads] = [step.shape for step, _ in screened]
         assert shapes[1] == shapes[threads]
-        assert len(blocks) == len(expected) > 1
-        for block, nodes in zip(blocks, expected):
-            np.testing.assert_array_equal(block, nodes)
+        assert len(screened) == len(expected) > 1
+        for (step, _), nodes in zip(screened, expected):
+            np.testing.assert_array_equal(step, nodes)
 
 
 @pytest.mark.parametrize(
@@ -930,6 +932,66 @@ def test_kl_band_beyond_reach_is_false_and_unevaluated(monkeypatch):
     block = fieldmap._mask_band(coeffs, x, rule, np.arange(-30.0, -22.0, 0.5)[:, None])
     assert block.shape == (16, x.size) and not block.any()
     assert sum(evaluated) == 0
+
+
+# ------------------------------------------- the tile screen of the mask path
+
+SCREEN_GRIDS = (
+    GridSpec(2.0, 8.0, 2.5, 7.5, 0.1),  # first quadrant, off the axes
+    GridSpec(-1.95, 6.05, -0.95, 6.05, 0.1),  # two-sided: tiles straddle both axes
+    GridSpec(-1.0, 6.0, -2.0, 6.0, 0.1),  # two-sided, with a node at the origin
+)
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 64])
+@pytest.mark.parametrize("scheme", ["LPA", "LinearFDA", "RandomFDA", "OptimizedFDA"])
+def test_tile_screen_at_a_cell_own_value(monkeypatch, jobs_here, scheme, n):
+    # the threshold at a cell's own value (fraction t) or gain (kl q), and
+    # one ulp to either side, puts the cut through that cell, and so through
+    # its tile: a bound that is too tight decides the tile on the wrong side.
+    # Bands of 7 rows (fraction mode) leave tiles of fewer than 4 rows at
+    # each band's end.  An array of N < 16 elements is the first N elements
+    # of a 16-element plan (OptimizedFDA needs N >= 3), in both paths; one
+    # element gives |S| = 1 at every node, the least room for the bound
+    g = ArrayGeometry(n_antennas=max(n, 16), carrier_hz=3e9)
+    plan = build_plan(scheme, g, BOB, 1e6, seed=5)
+    phase_coefficients = fieldmap._phase_coefficients
+    monkeypatch.setattr(fieldmap, "_phase_coefficients",
+                        lambda *args: tuple(c[:n] for c in phase_coefficients(*args)))
+    rng = np.random.default_rng(n)
+    for grid in SCREEN_GRIDS:
+        monkeypatch.setattr(fieldmap, "_CHUNK", 7 * grid.n_x)
+        fmap = evaluate_grid(g, plan, BOB, grid)
+        finite = np.flatnonzero(np.isfinite(fmap.values) & (fmap.values > 0.0))
+        cells = (np.ravel_multi_index(fmap.metadata["bob_cell"], fmap.values.shape),
+                 rng.choice(finite))
+        for mode, on_cell in (("fraction", fmap.values), ("kl", gains(fmap))):
+            for cell in cells:
+                value = on_cell.flat[cell]
+                for t in (np.nextafter(value, 0.0), value, np.nextafter(value, np.inf)):
+                    if mode == "fraction" and not t <= 1.0:
+                        continue
+                    exact = extract_noncovert(fmap, mode, float(t))
+                    assert exact.mask.flat[cell] == (t <= value)
+                    assert_same_region(exact, noncovert_region(g, plan, BOB, grid, mode, float(t)))
+
+
+def test_mask_work_is_pinned_as_node_counts(screened):
+    # the nodes _float32_block gets per map on the default grid (801 x 801
+    # nodes, bands of 40 rows), RandomFDA plan seed 1 at N = 64.  Measured:
+    # 122,164 of the 641,601 step nodes in fraction mode, and 38,224 of the
+    # staircase's 156,830 in kl mode.  The bounds leave under 1% for
+    # platforms whose float32 sin and cos round differently
+    grid = GridSpec(0.0, 40.0, 0.0, 40.0, 0.05)
+    plan = random_fda_plan(G, 1e6, 1)
+    for mode, value, steps, bound in (
+        ("fraction", 0.1, grid.n_cells, 123_000),
+        ("kl", KL_Q, 156_830, 38_500),
+    ):
+        screened.clear()
+        noncovert_region(G, plan, BOB, grid, mode, value)
+        assert sum(step.size for step, _ in screened) == steps
+        assert sum(int(np.count_nonzero(~decided)) for _, decided in screened) <= bound
 
 
 @pytest.mark.parametrize(
