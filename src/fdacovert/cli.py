@@ -19,7 +19,7 @@ import json
 import os
 import sys
 from contextlib import closing, contextmanager
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -40,6 +40,8 @@ from .covertness import xi, xi_inv
 from .ellipse import objective_and_gradient, optimize_offsets
 from .fieldmap import (
     GridSpec,
+    RateResult,
+    SweepRow,
     evaluate_grid,
     extract_noncovert,
     lattice_errors,
@@ -241,23 +243,8 @@ def _cmd_sweep(cfg: ExperimentConfig, out_dir: str, parameter: str) -> List[str]
     )
     name = "sweep_n.csv" if parameter == "n_antennas" else "sweep_fdelta.csv"
     path = os.path.join(out_dir, name)
-    emit_csv(
-        path,
-        [
-            "scheme",
-            parameter,
-            "mean_area_fraction",
-            "std_area_fraction",
-            "mean_area_m2",
-            "n_seeds",
-        ],
-        [
-            (r.scheme, r.value, r.mean_area_fraction, r.std_area_fraction,
-             r.mean_area_m2, r.n_seeds)
-            for r in rows
-        ],
-        meta,
-    )
+    header = [parameter if f.name == "value" else f.name for f in fields(SweepRow)]
+    emit_csv(path, header, map(astuple, rows), meta)
     return [path]
 
 
@@ -279,20 +266,12 @@ def cmd_rate(cfg: ExperimentConfig, out_dir: str) -> List[str]:
                 threshold_mode=mode,
                 threshold_value=value,
             )
-            rows.append(
-                (scheme, seed, result.mean_rate, result.std_error,
-                 result.point_rate, result.area_fraction, result.n_samples)
-            )
+            rows.append((scheme, seed, *astuple(result)[:-1]))  # all but n_covert
     meta = _base_metadata(cfg, "rate")
     meta.update(mc_seed=fmt(cfg.mc_seed), threshold_mode=mode, threshold_value=fmt(value))
     path = os.path.join(out_dir, "rate.csv")
-    emit_csv(
-        path,
-        ["scheme", "plan_seed", "mean_rate", "std_error", "point_rate",
-         "area_fraction", "n_samples"],
-        rows,
-        meta,
-    )
+    header = ["scheme", "plan_seed", *(f.name for f in fields(RateResult)[:-1])]
+    emit_csv(path, header, rows, meta)
     return [path]
 
 
@@ -301,8 +280,7 @@ def cmd_optimize(cfg: ExperimentConfig, out_dir: str) -> List[str]:
 
     J's optimum is the starting point, and the run's grid and threshold
     choose the plan (schemes.refine_for_region).  objective is J of the
-    written offsets; start_index and iterations describe the J search (the
-    winning start, and 1 for the one projected step each start takes).
+    written offsets; start_index is the J search's winning start.
     box_half_width refuses an f_delta_hz that is not finite and > 0, as the
     plan route does.
     """
@@ -322,9 +300,10 @@ def cmd_optimize(cfg: ExperimentConfig, out_dir: str) -> List[str]:
         "seed": cfg.seed,
         "objective": objective_and_gradient(g, bob, np.asarray(offsets))[0],
         "start_index": result.start_index,
-        "iterations": result.iterations,
-        # the search has no iteration cap to hit; the key stays for the
-        # readers of optimize.json (perfbench's check_optimize among them)
+        # each start takes one projected step and the search has no
+        # iteration cap to hit; the keys stay for the readers of
+        # optimize.json (perfbench's check_optimize among them)
+        "iterations": 1,
         "converged": True,
         "offsets_hz": list(offsets),
     }

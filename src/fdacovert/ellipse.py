@@ -164,7 +164,6 @@ class OptimizeResult:
     offsets_hz: tuple
     objective: float
     start_index: int
-    iterations: int = 1  # the one projected step each start takes
 
 
 def _search_from(g, bob, x0, box):
@@ -228,10 +227,10 @@ def optimize_offsets(
     PCG64 seeded with seed (schemes.build_plan passes a plan's one seed,
     which also draws a RandomFDA plan).  Each start takes one
     projected-gradient step, then a greedy vertex search (J is convex, so
-    its maxima over the box lie at vertices); iterations is therefore
-    always 1.  Ties keep the lowest start index, so results are
-    reproducible for a fixed seed, and the returned objective dominates the
-    zero plan's.  N = 2 is refused: J is identically 0 there.
+    its maxima over the box lie at vertices).  Ties keep the lowest start
+    index, so results are reproducible for a fixed seed, and the returned
+    objective dominates the zero plan's.  N = 2 is refused: J is
+    identically 0 there.
     """
     if g.n_antennas < 3:  # g1*g3 = g2^2 for every plan at N = 2
         raise DomainError(f"n_antennas must be >= 3 for J to rank plans, got {g.n_antennas}")

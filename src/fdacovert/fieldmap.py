@@ -1053,15 +1053,17 @@ def sweep(
     Every plan depends only on its own row's inputs, so equal rows of two
     sweeps are equal.
 
-    The LPA, LinearFDA and RandomFDA plans take microseconds and are built
-    here; each distinct one, such as LPA's at every increment, is measured
-    once.  Each OptimizedFDA plan, a J and a region search, is searched
-    once per distinct geometry, seed and box (a box_half_width_hz fixes it
-    at every increment) and measured in that job.  _pool_map runs these jobs
-    on forked worker processes, the searches first, each mask in its job's
-    process, so no row depends on the thread count.  The rows are then put
-    together in row order, which issues each job's warnings and raises its
-    error as a serial sweep would.
+    One pass over the rows records each run as its build record, or None
+    for an OptimizedFDA plan, and the key of the job that measures it.  The
+    LPA, LinearFDA and RandomFDA plans take microseconds and are built in
+    that pass; each distinct one, such as LPA's at every increment, is
+    measured once.  Each OptimizedFDA plan, a J and a region search, is
+    searched once per distinct geometry, seed and box (a box_half_width_hz
+    fixes it at every increment) and measured in that job.  _pool_map runs
+    these jobs on forked worker processes, the searches first, each mask in
+    its job's process, so no row depends on the thread count.  The rows are
+    then put together from the records in row order, which issues each
+    job's warnings and raises its error as a serial sweep would.
     """
     if parameter not in ("n_antennas", "f_delta"):
         raise DomainError(f"unknown sweep parameter {parameter!r}")
@@ -1070,7 +1072,9 @@ def sweep(
     if SCHEME_RANDOM in scheme_names and not seeds:
         raise DomainError("RandomFDA rows need at least one seed")
     target = RegionSpec(grid, threshold_mode, threshold_value)
-    runs, plan_args = [], []  # runs: (scheme, value, indices of its plans in plan_args)
+    # runs: (scheme, value, [(build record or None, job key)]); job key ->
+    # (build_plan args, plan), plan None for a search
+    runs, searches, masks = [], {}, {}
     for value in values:
         if parameter == "n_antennas":
             g_v = replace(g, n_antennas=int(value))
@@ -1079,40 +1083,38 @@ def sweep(
             g_v = g
             f_v = float(value)
         for scheme in scheme_names:
-            run_seeds = list(seeds) if scheme == SCHEME_RANDOM else [seed]
-            first = len(plan_args)
-            plan_args += [
-                (scheme, g_v, bob, f_v, s, box_half_width_hz, target) for s in run_seeds
-            ]
-            runs.append((scheme, float(value), range(first, len(plan_args))))
-    # An OptimizedFDA plan is decided by its geometry, seed and box, on which
-    # bob and the region are the sweep's own and f_delta_hz acts only through
-    # schemes.box_half_width; an increment that fails its check keys by the
-    # error that check raised, which no other row shares
-    key_of = {
-        i: (a[1], a[4], _recorded(box_half_width, a[3], a[5])[1])
-        for i, a in enumerate(plan_args) if a[0] == SCHEME_OPTIMIZED
-    }
-    # job key -> (build_plan args, plan): a search (plan None) per distinct
-    # OptimizedFDA key first, then a mask per distinct (geometry, offsets) of
-    # the plans built here
-    jobs = {key: (plan_args[i], None) for i, key in key_of.items()}
-    built = {i: _recorded(build_plan, *a) for i, a in enumerate(plan_args) if i not in key_of}
-    for i, (_, plan) in built.items():
-        if not isinstance(plan, Exception):
-            key_of[i] = (plan_args[i][1], plan.offsets_hz)
-            jobs.setdefault(key_of[i], (plan_args[i], plan))
+            records = []
+            for s in seeds if scheme == SCHEME_RANDOM else [seed]:
+                args = (scheme, g_v, bob, f_v, s, box_half_width_hz, target)
+                if scheme == SCHEME_OPTIMIZED:
+                    # an OptimizedFDA plan is decided by its geometry, seed and
+                    # box, on which bob and the region are the sweep's own and
+                    # f_v acts only through schemes.box_half_width; an increment
+                    # that fails its check keys by the error that check raised,
+                    # which no other row shares
+                    build = None
+                    key = (g_v, s, _recorded(box_half_width, f_v, box_half_width_hz)[1])
+                    searches.setdefault(key, (args, None))
+                else:
+                    build = _recorded(build_plan, *args)
+                    key = None  # a failed build gets no job: replaying it raises
+                    if not isinstance(build[1], Exception):
+                        key = (g_v, build[1].offsets_hz)
+                        masks.setdefault(key, (args, build[1]))
+                records.append((build, key))
+            runs.append((scheme, float(value), records))
+    jobs = {**searches, **masks}
     outcomes = dict(zip(jobs, _pool_map(_sweep_job, list(jobs.values())), strict=True))
     fraction_of = {}  # job key -> area fraction
     rows = []
-    for scheme, value, indices in runs:
+    for scheme, value, records in runs:
         fractions = []
-        for i in indices:
+        for build, key in records:
             # the build's warnings at every use, raising its error; the mask's at the first
-            _job_result(built[i] if i in built else outcomes[key_of[i]][0])
-            if key_of[i] not in fraction_of:
-                fraction_of[key_of[i]] = _job_result(outcomes[key_of[i]][1])
-            fractions.append(fraction_of[key_of[i]])
+            _job_result(outcomes[key][0] if build is None else build)
+            if key not in fraction_of:
+                fraction_of[key] = _job_result(outcomes[key][1])
+            fractions.append(fraction_of[key])
         arr = np.asarray(fractions)
         rows.append(
             SweepRow(
@@ -1121,7 +1123,7 @@ def sweep(
                 mean_area_fraction=float(arr.mean()),
                 std_area_fraction=float(arr.std()),
                 mean_area_m2=float(arr.mean() * grid.n_cells * grid.step_m**2),
-                n_seeds=len(indices),
+                n_seeds=len(records),
             )
         )
     return rows

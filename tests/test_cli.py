@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -144,7 +145,11 @@ def test_config_error_carries_line_number(tmp_path):
 
 
 def test_config_semantic_validation():
-    with pytest.raises(ConfigError, match="scheme"):
+    with pytest.raises(ConfigError, match=re.escape(
+        "--set 'sweep.schemes=LPA,Bogus': unknown scheme 'Bogus'"
+    )):
+        build_config(overrides=["sweep.schemes=LPA,Bogus"])
+    with pytest.raises(ConfigError, match="unknown option plan.scheme"):
         build_config(overrides=["plan.scheme=Bogus"])
     with pytest.raises(ConfigError, match="mode"):
         build_config(overrides=["threshold.mode=absolute"])
@@ -156,6 +161,26 @@ def test_config_semantic_validation():
         build_config(overrides=["budget.blocklength=0"])
 
 
+@pytest.mark.parametrize(
+    "text, overrides, where",
+    [
+        ("[geometry]\n[ ]\n", [], "bad.cfg, line 2: empty section name"),
+        ("[geometry]\nn_antennas 64\n", [], "bad.cfg, line 2: expected 'key = value'"),
+        ("", ["n_antennas=64"], "--set 'n_antennas=64': expected section.key=value"),
+    ],
+)
+def test_malformed_config_text_is_a_config_error(tmp_path, capsys, text, overrides, where):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(where)):
+        load_config(str(path), overrides)
+    sets = [a for o in overrides for a in ("--set", o)]
+    out = tmp_path / "out"
+    assert run_cli(["region", "--config", str(path), "--out", str(out)] + sets) == 1
+    assert where in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["bad.cfg"]
+
+
 def test_config_hash_tracks_effective_values():
     a = build_config()
     b = build_config(overrides=["plan.seed=1"])
@@ -165,9 +190,11 @@ def test_config_hash_tracks_effective_values():
 
 def test_cli_exit_codes(tmp_path, capsys):
     assert run_cli(["selftest"]) == 0
-    assert run_cli(["region", "--set", "plan.scheme=Nope"]) == 1
+    assert run_cli(["region", "--set", "sweep.schemes=LPA,Nope"]) == 1
     err = capsys.readouterr().err
-    assert "config error" in err
+    assert "config error: --set 'sweep.schemes=LPA,Nope': unknown scheme 'Nope'" in err
+    assert run_cli(["region", "--set", "plan.scheme=Nope"]) == 1
+    assert "unknown option plan.scheme" in capsys.readouterr().err
     assert run_cli(["no-such-subcommand"]) == 1
     assert run_cli(["region", "--config", str(tmp_path / "missing.cfg")]) == 1
 
@@ -209,20 +236,27 @@ def test_every_subcommand_is_byte_deterministic(tmp_path):
 
 
 def test_optimize_then_region_pipeline(tmp_path):
-    out = str(tmp_path / "out")
-    assert run_cli(["optimize", "--out", out] + FAST) == 0
-    plan_path = os.path.join(out, "optimize.json")
-    with open(plan_path) as fh:
-        payload = json.load(fh)
-    assert len(payload["offsets_hz"]) == 64
-    assert max(abs(v) for v in payload["offsets_hz"]) <= payload["box_half_width_hz"]
-    assert payload["converged"]
+    # region --plan maps optimize's plan as plain region maps the plan it builds
+    for mode in ("fraction", "kl"):
+        args = FAST + ["--set", f"threshold.mode={mode}", "--set", "sweep.schemes=OptimizedFDA"]
+        out, plain = str(tmp_path / mode), str(tmp_path / f"{mode}_plain")
+        assert run_cli(["optimize", "--out", out] + args) == 0
+        plan_path = os.path.join(out, "optimize.json")
+        with open(plan_path) as fh:
+            payload = json.load(fh)
+        assert len(payload["offsets_hz"]) == 64
+        assert max(abs(v) for v in payload["offsets_hz"]) <= payload["box_half_width_hz"]
+        assert payload["converged"]
+        assert payload["iterations"] == 1
 
-    assert run_cli(["region", "--out", out, "--plan", plan_path] + FAST) == 0
-    summary = read_bytes(os.path.join(out, "region_summary.csv")).decode().splitlines()
-    rows = [l.split(",") for l in summary if not l.startswith("#")][1:]
-    assert rows[0][0] == "OptimizedFDA"
-    assert float(rows[0][3]) >= 0.0
+        assert run_cli(["region", "--out", out, "--plan", plan_path] + args) == 0
+        summary = read_bytes(os.path.join(out, "region_summary.csv")).decode().splitlines()
+        rows = [l.split(",") for l in summary if not l.startswith("#")][1:]
+        assert rows[0][0] == "OptimizedFDA"
+        assert float(rows[0][3]) >= 0.0
+        assert run_cli(["region", "--out", plain] + args) == 0
+        name = "region_OptimizedFDA.csv"
+        assert read_bytes(os.path.join(out, name)) == read_bytes(os.path.join(plain, name))
 
 
 def test_heatmap_output_parses_back(tmp_path):
@@ -891,6 +925,22 @@ def test_perfbench_finds_every_binding_it_wraps():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_failing_selftest_exits_3_and_removes_the_out_directory_it_made(
+    tmp_path, capsys, monkeypatch
+):
+    def boom():
+        raise RuntimeError("broken invariant")
+
+    checks = [("ok", lambda: True), ("bad", lambda: False), ("boom", boom)]
+    monkeypatch.setattr(cli, "_selftest_checks", lambda cfg: checks)
+    out = tmp_path / "made" / "out"
+    assert run_cli(["selftest", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["PASS ok", "FAIL bad", "FAIL boom: broken invariant"]
+    assert "selftest failure: 2 selftest check(s) failed" in captured.err
+    assert not (tmp_path / "made").exists()
 
 
 def test_failed_run_removes_the_out_directory_it_made(tmp_path):
