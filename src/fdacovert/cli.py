@@ -155,7 +155,7 @@ def _load_plan_file(path: str, g: ArrayGeometry) -> FrequencyPlan:
         return plan
     except KeyError as exc:
         raise ConfigError(f"plan file {path} has no key {exc}") from exc
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"cannot read plan file {path}: {exc}") from exc
 
 

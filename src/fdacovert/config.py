@@ -205,6 +205,8 @@ def build_config(
     for section, key, name, tag, _ in _SCHEMA:
         text, where[name] = merged[(section, key)]
         values[name] = _coerce(tag, text, where[name])
+        if key in ("seed", "seeds") and min(_TAGS["intlist"][0](text), default=0) < 0:
+            raise ConfigError(f"{where[name]}: {section}.{key} must be non-negative, got {text!r}")
     cfg = ExperimentConfig(**values)
 
     # semantic validation with the offending location attached

@@ -32,10 +32,9 @@ value_bands streams the value path's bands, normalized, so that heatmap
 writes each band's text as it arrives and no process holds the whole map;
 evaluate_grid and noncovert_region fill their arrays band by band.
 monte_carlo_rate draws its cells _CHUNK at a time.  FDACOVERT_THREADS
-(resolve_threads) sets how many forked worker processes (_pool_map)
-evaluate a map's bands, or run a sweep's plan searches and masks, each mask
-in one process; a map of one band runs in the calling process.  No output
-depends on it.
+(resolve_threads) sets how many forked worker processes (_pool_map) run a
+value map's bands or a sweep's jobs; a mask, or a map of one band, runs in
+the process that asks for it.  No output depends on it.
 """
 
 from __future__ import annotations
@@ -494,10 +493,10 @@ def _row_bands(band, ys, n_cols: int, n_threads: Optional[int]):
 
     band is a picklable function of a band's y nodes, as a column, that
     gives n_cols values per row.  A band is as many rows as fit in _CHUNK
-    nodes, at least one, whatever the thread count, so a map of up to
-    _CHUNK nodes is one job and starts no worker.  The bands are disjoint,
-    so they are the same for any thread count.  _pool_map is lazy: nothing
-    runs before the first band is asked for.
+    nodes, at least one, whatever the thread count, so the disjoint bands
+    are the same at any count, and a map of up to _CHUNK nodes is one job
+    and starts no worker.  noncovert_region asks for one thread: its bands
+    run here.  _pool_map is lazy: nothing runs before the first is asked for.
     """
     band_rows = max(1, _CHUNK // max(1, n_cols))
     starts = range(0, ys.size, band_rows)
@@ -675,15 +674,14 @@ def noncovert_region(
     spec: GridSpec,
     threshold_mode: str = "fraction",
     threshold_value: float = 0.1,
-    n_threads: Optional[int] = None,
 ) -> RegionResult:
     """extract_noncovert(evaluate_grid(...)) without the map: the certified mask path.
 
-    Areas, sweeps and rates need each cell's side of the threshold, not
-    its value.  Per row band (_mask_band), every cell is compared in raw units
-    (|S|^2 / N^2) with the cut: t times the focus cell's raw value
-    (fraction mode) or q N / beta^2(r) (kl mode).  Three stages decide the
-    cells, each only those the one before leaves:
+    Areas, sweeps and rates need each cell's side of the threshold, not its
+    value.  Per row band (_mask_band), each in the calling process, every
+    cell is compared in raw units (|S|^2 / N^2) with the cut: t times the
+    focus cell's raw value (fraction mode) or q N / beta^2(r) (kl mode).
+    Three stages decide the cells, each only those the one before leaves:
       - the band's staircase step: no cell beyond reach (below) can be
         detected, and the rest of the band is False;
       - the tile screen (_tile_screen): a bound on every raw value of a
@@ -796,7 +794,7 @@ def noncovert_region(
     cols = _reach_span(xs, np.abs(ys).min(), rule)
     live = mask[rows, cols]
     band = partial(_mask_band, coeffs, xs[cols], rule)
-    for i0, block in _row_bands(band, ys[rows], live.shape[1], n_threads):
+    for i0, block in _row_bands(band, ys[rows], live.shape[1], 1):
         live[i0:i0 + len(block)] = block
     return _region_result(spec, mask)
 
@@ -993,9 +991,8 @@ def _recorded(fn, *args):
 def _sweep_job(job: tuple) -> tuple:
     """One job of sweep, job = (build_plan args, plan): (build, mask), each _recorded.
 
-    build is build_plan(*args), made here when plan is None and None
-    otherwise; mask is the area fraction of the plan's mask, made in this
-    process, None if the build failed.
+    build is build_plan(*args) when plan is None, and None otherwise; mask
+    is the area fraction of the plan's mask, None if the build failed.
     """
     args, plan = job
     build = None
@@ -1006,7 +1003,7 @@ def _sweep_job(job: tuple) -> tuple:
             return build, None
     g, bob, target = args[1], args[2], args[-1]
     spec = (target.grid, target.threshold_mode, target.threshold_value)
-    return build, _recorded(lambda: noncovert_region(g, plan, bob, *spec, 1).area_fraction)
+    return build, _recorded(lambda: noncovert_region(g, plan, bob, *spec).area_fraction)
 
 
 def _job_result(outcome):

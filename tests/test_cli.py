@@ -1,5 +1,6 @@
 """CLI: config parsing, CSV emission, subcommands, determinism, exit codes."""
 
+import concurrent.futures
 import hashlib
 import json
 import math
@@ -159,6 +160,13 @@ def test_config_semantic_validation():
         build_config(overrides=["bob.theta_deg=90"])
     with pytest.raises(ConfigError):
         build_config(overrides=["budget.blocklength=0"])
+    # a seed seeds numpy's Generator, which takes no negative one
+    for override in ("plan.seed=-1", "mc.seed=-5", "sweep.seeds=0,-2"):
+        option, text = override.split("=")
+        with pytest.raises(ConfigError, match=re.escape(
+            f"--set {override!r}: {option} must be non-negative, got {text!r}"
+        )):
+            build_config(overrides=[override])
 
 
 @pytest.mark.parametrize(
@@ -195,6 +203,8 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "config error: --set 'sweep.schemes=LPA,Nope': unknown scheme 'Nope'" in err
     assert run_cli(["region", "--set", "plan.scheme=Nope"]) == 1
     assert "unknown option plan.scheme" in capsys.readouterr().err
+    assert run_cli(["rate", "--set", "mc.seed=-5"]) == 1
+    assert "mc.seed must be non-negative" in capsys.readouterr().err
     assert run_cli(["no-such-subcommand"]) == 1
     assert run_cli(["region", "--config", str(tmp_path / "missing.cfg")]) == 1
 
@@ -446,6 +456,9 @@ def test_plan_outside_region_is_a_config_error(tmp_path, capsys, sub):
                      id="offset-string"),
         pytest.param('{"offsets_hz": [%s, true]}' % ", ".join(["0.0"] * 63),
                      id="offset-bool"),
+        # a JSON integer too large for a float
+        pytest.param('{"offsets_hz": [1%s, %s]}' % ("0" * 400, ", ".join(["0"] * 63)),
+                     id="offset-too-large"),
     ],
 )
 def test_unreadable_or_malformed_plan_is_a_config_error(tmp_path, capsys, text):
@@ -618,35 +631,59 @@ def test_grid_csvs_equal_per_cell_reference(tmp_path, monkeypatch, sub):
 
 
 def test_region_bytes_do_not_depend_on_fdacovert_threads(tmp_path, monkeypatch):
-    # the row blocks are disjoint, so the thread count shows in no byte; a
-    # non-integer value is ignored with a warning.  Bands of 8 of FAST's 49
-    # rows: seven per map, on workers at three threads
+    # the row blocks are disjoint, so the thread count shows in no byte.
+    # Bands of 8 of FAST's 49 rows: seven per map
+    monkeypatch.setattr(fieldmap, "_CHUNK", 49 * 8)
+    outputs = {}
+    for env in ("1", "3"):
+        monkeypatch.setenv("FDACOVERT_THREADS", env)
+        out = tmp_path / env
+        assert run_cli(["region", "--out", str(out)] + FAST) == 0
+        outputs[env] = {name: read_bytes(out / name) for name in sorted(os.listdir(out))}
+    assert len(outputs["1"]) == 5  # four masks and the summary
+    assert outputs["1"] == outputs["3"]
+
+
+def test_heatmap_bytes_do_not_depend_on_fdacovert_threads(tmp_path, monkeypatch):
+    # seven bands per map, on workers at three threads; a non-integer value
+    # is ignored with a warning
     monkeypatch.setattr(fieldmap, "_CHUNK", 49 * 8)
     outputs = {}
     for env in ("1", "3", "two"):
         monkeypatch.setenv("FDACOVERT_THREADS", env)
         out = tmp_path / env
-        args = ["region", "--out", str(out)] + FAST
+        args = ["heatmap", "--out", str(out)] + FAST
         if env == "two":
             with pytest.warns(UserWarning, match="ignoring non-integer"):
                 assert run_cli(args) == 0
         else:
             assert run_cli(args) == 0
         outputs[env] = {name: read_bytes(out / name) for name in sorted(os.listdir(out))}
-    assert len(outputs["1"]) == 5  # four masks and the summary
+    assert len(outputs["1"]) == 4  # one map per scheme
     assert outputs["1"] == outputs["3"] == outputs["two"]
 
 
-def test_heatmap_bytes_do_not_depend_on_fdacovert_threads(tmp_path, monkeypatch):
-    monkeypatch.setattr(fieldmap, "_CHUNK", 49 * 8)  # seven bands per map
+def test_region_and_rate_start_no_worker_at_any_thread_count(tmp_path, monkeypatch, capsys):
+    # every mask runs in the process that asks for it: with bands of 8 of
+    # FAST's 49 rows, seven per map, a pool started at three threads raises
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(fieldmap, "_CHUNK", 49 * 8)
     outputs = {}
     for env in ("1", "3"):
         monkeypatch.setenv("FDACOVERT_THREADS", env)
         out = tmp_path / env
-        assert run_cli(["heatmap", "--out", str(out)] + FAST) == 0
+        for sub in ("region", "rate"):
+            assert run_cli([sub, "--out", str(out)] + FAST) == 0, capsys.readouterr().err
         outputs[env] = {name: read_bytes(out / name) for name in sorted(os.listdir(out))}
-    assert len(outputs["1"]) == 4  # one map per scheme
+    assert len(outputs["1"]) == 6  # four masks, the summary and the rates
     assert outputs["1"] == outputs["3"]
+    assert not multiprocessing.active_children()
+    # heatmap's value maps still go to workers at three threads, and meet the spy
+    assert run_cli(["heatmap", "--out", str(tmp_path / "heatmap")] + FAST) == 2
+    assert "a worker pool was started" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mode", ["fraction", "kl"])

@@ -440,21 +440,19 @@ def assert_same_region(exact, certified):
     seed=st.integers(0, 2**16),
     fraction=st.floats(1e-4, 1.0),
     q_quantile=st.floats(0.0, 1.0),
-    threads=st.sampled_from([1, 3]),
 )
-def test_certified_mask_equals_float64_mask(scheme, n, seed, fraction, q_quantile, threads):
+def test_certified_mask_equals_float64_mask(scheme, n, seed, fraction, q_quantile):
     g = ArrayGeometry(n_antennas=n, carrier_hz=3e9)
     plan = build_plan(scheme, g, BOB, 1e6, seed=seed)
     fmap = evaluate_grid(g, plan, BOB, DESK)
     gain = gains(fmap)
     q = float(np.quantile(gain[gain > 0.0], q_quantile))  # q must be > 0
     with pytest.MonkeyPatch.context() as patch:
-        # bands of 16 rows, on workers at three threads: DESK makes six
+        # bands of 16 rows: DESK makes six
         patch.setattr(fieldmap, "_CHUNK", DESK.n_x * 16)
         for mode, value in (("fraction", fraction), ("kl", q)):
             exact = extract_noncovert(fmap, mode, value)
-            certified = noncovert_region(g, plan, BOB, DESK, mode, value, n_threads=threads)
-            assert_same_region(exact, certified)
+            assert_same_region(exact, noncovert_region(g, plan, BOB, DESK, mode, value))
 
 
 def test_certified_mask_with_focus_off_grid():
@@ -653,15 +651,20 @@ def test_sweep_measures_each_distinct_plan_once_across_processes(monkeypatch, tm
 
 
 def test_maps_leave_no_worker_or_thread_running(monkeypatch, pool_pids):
-    # at 3 threads each map's four row bands run on forked workers
+    # at 3 threads a value map's four row bands run on forked workers, and a
+    # mask's four in this process
     monkeypatch.setattr(fieldmap, "_CHUNK", SMALL.n_x * 40)
+    monkeypatch.setenv("FDACOVERT_THREADS", "3")
     plan = random_fda_plan(G, 1e6, 1)
     threads = threading.active_count()
-    for run in (evaluate_grid, noncovert_region):
-        run(G, plan, BOB, SMALL, n_threads=3)
-        assert pool_pids[-1] and os.getpid() not in pool_pids[-1]
-        assert not multiprocessing.active_children()  # every worker is joined
-        assert threading.active_count() == threads
+    evaluate_grid(G, plan, BOB, SMALL)
+    assert pool_pids[-1] and os.getpid() not in pool_pids[-1]
+    assert not multiprocessing.active_children()  # every worker is joined
+    assert threading.active_count() == threads
+    noncovert_region(G, plan, BOB, SMALL)
+    assert pool_pids[-1] == {os.getpid()}
+    assert not multiprocessing.active_children()
+    assert threading.active_count() == threads
 
 
 def test_a_map_of_one_band_runs_in_this_process(monkeypatch, pool_pids):
@@ -813,14 +816,13 @@ def test_kl_column_span_matches_the_value_path(monkeypatch, screened, extent, fo
 
 
 @pytest.mark.parametrize("grid", [FAR, GridSpec(-30.0, 28.0, -26.0, 32.0, 0.5)])
-@pytest.mark.parametrize("threads", [1, 3])
-def test_mask_path_evaluates_one_rectangle_per_map(monkeypatch, screened, grid, threads):
+def test_mask_path_evaluates_one_rectangle_per_map(monkeypatch, screened, grid):
     # kl mode: one rectangle per map, the rows and columns v whose nodes can
     # lie within reach, is cut into bands of about 1024 nodes, 2 to 15 of
-    # them, the same at any thread count.  Each band's tile screen gets only
-    # its staircase step: the rectangle's columns x with cut(hypot(x, m)
-    # (1 - 4 eps64)) <= reach, where m is the band's least |y|, cut(r) =
-    # q N / beta^2(r) and reach = 1 + 8 (N + 4) eps64.  Every node with
+    # them.  Each band's tile screen gets only its staircase step: the
+    # rectangle's columns x with cut(hypot(x, m) (1 - 4 eps64)) <= reach,
+    # where m is the band's least |y|, cut(r) = q N / beta^2(r) and
+    # reach = 1 + 8 (N + 4) eps64.  Every node with
     # cut(r) <= reach is in a step.  Fraction mode's steps are whole bands.
     # _float32_block gets a subset of each step (the screened fixture).
     # Both grids hold x = 0 and y = 0
@@ -857,12 +859,8 @@ def test_mask_path_evaluates_one_rectangle_per_map(monkeypatch, screened, grid, 
         ("kl", KL_Q, [r[band, step] for band, step in steps]),
         ("fraction", 0.1, [r[i0:i0 + band_rows] for i0 in range(0, grid.n_y, band_rows)]),
     ):
-        shapes = {}
-        for n_threads in (1, threads):
-            screened.clear()
-            noncovert_region(G, plan, BOB, grid, mode, value, n_threads=n_threads)
-            shapes[n_threads] = [step.shape for step, _ in screened]
-        assert shapes[1] == shapes[threads]
+        screened.clear()
+        noncovert_region(G, plan, BOB, grid, mode, value)
         assert len(screened) == len(expected) > 1
         for (step, _), nodes in zip(screened, expected):
             np.testing.assert_array_equal(step, nodes)
@@ -908,7 +906,7 @@ def test_kl_staircase_matches_the_value_path(monkeypatch, extent, focus, peak):
         fmap = evaluate_grid(G, plan, bob, grid)
         q = float(gains(fmap)[iy, ix])
         exact = extract_noncovert(fmap, "kl", q)
-        assert_same_region(exact, noncovert_region(G, plan, bob, grid, "kl", q, 1))
+        assert_same_region(exact, noncovert_region(G, plan, bob, grid, "kl", q))
     assert exact.mask[iy, ix] and len(bands) > 1
     (band,) = [y for y in bands if peak[1] in y]
     assert (band[0] < 0.0 < band[-1]) == (abs(peak[1]) < 0.5)
