@@ -8,7 +8,8 @@ Values are written as fmt writes them.  The grid CSVs of heatmap and region,
 one 'x,y,value' line per cell, are written a block of rows at a time, each
 block's text formed in whole-array numpy calls by _csvtext.grid_text, byte
 for byte what fmt writes per cell.  heatmap writes each row band of a map
-as it is evaluated (fieldmap.value_bands), so no process holds the map.
+as it comes back (fieldmap.value_bands); with worker processes, bands that
+finish early wait in this process until written, up to the whole map.
 Exit codes: 0 success, 1 config error, 2 runtime error, 3 selftest failure.
 """
 
@@ -144,8 +145,8 @@ def _load_plan_file(path: str, g: ArrayGeometry) -> FrequencyPlan:
         if not isinstance(offsets, list) or not all(type(v) in (int, float) for v in offsets):
             raise TypeError(f"offsets_hz must be a list of numbers, got {offsets!r}")
         seed = data.get("seed")
-        if seed is not None and type(seed) is not int:  # bool is an int subclass
-            raise TypeError(f"seed must be an integer or null, got {seed!r}")
+        if seed is not None and not (type(seed) is int and seed >= 0):  # bool is an int subclass
+            raise TypeError(f"seed must be a non-negative integer or null, got {seed!r}")
         plan = FrequencyPlan(
             offsets_hz=tuple(offsets),
             scheme=data.get("scheme", SCHEME_OPTIMIZED),
@@ -356,7 +357,7 @@ def _selftest_checks(cfg: ExperimentConfig):
         return True
 
     small = GridSpec(0.0, 8.0, 0.0, 8.0, 0.1)
-    # 201 x 201 nodes make two row bands, which 3 threads run on workers
+    # 201 x 201 nodes make two row bands, which n_threads=3 runs on two workers
     wide = GridSpec(0.0, 20.0, 0.0, 20.0, 0.1)
     # as many nodes about the origin: the first band straddles y = 0
     across = GridSpec(-10.0, 10.0, -10.0, 10.0, 0.1)

@@ -29,7 +29,8 @@ Two paths form phases with channel._element_phases, as the region search does:
 A map is cut into row bands of up to _CHUNK nodes (_row_bands), whatever
 the thread count, and comes as a stream of bands in row order.
 value_bands streams the value path's bands, normalized, so that heatmap
-writes each band's text as it arrives and no process holds the whole map;
+writes each band's text as it arrives; on workers _pool_map hands out every
+band at once, so finished bands wait in the parent, up to the whole map.
 evaluate_grid and noncovert_region fill their arrays band by band.
 monte_carlo_rate draws its cells _CHUNK at a time.  FDACOVERT_THREADS
 (resolve_threads) sets how many forked worker processes (_pool_map) run a
@@ -265,16 +266,13 @@ def _sincos_scratch(size):
     return np.empty((6, size))
 
 
-def _sincos(phase, scratch, check=True):
+def _sincos(phase, scratch):
     """Rows cos and sin of each float64 phase, each within eps64 = 2^-52 of libm's.
 
     phase is overwritten, scratch is six rows of at least phase.size
     floats, as from _sincos_scratch, and the result is a view of two of
-    its rows.  With check false, the caller
-    promises no nan and every |phase| below 2^21 pi, half the exact range
-    below, so no phase is tested against it.  With h = 2 pi / K,
-    K = _TURN_STEPS (Tang, ACM TOMS 1989, table driven; Cody and Waite,
-    1980, argument reduction):
+    its rows.  With h = 2 pi / K, K = _TURN_STEPS (Tang, ACM TOMS 1989,
+    table driven; Cody and Waite, 1980, argument reduction):
       - m = rint(phase K / 2 pi), r = ((phase - m C1) - m C2) - m C3 and
         j = m mod K, so phase = 2 pi q + j h + r with |r| <= h/2 (1 + 2^-18);
       - cos(j h) and sin(j h) are looked up, correctly rounded, and
@@ -312,7 +310,7 @@ def _sincos(phase, scratch, check=True):
     np.rint(m, out=m)
     far = None
     # nan fails the test, and no phase at all passes it
-    if check and not (m.min(initial=0.0) >= -_EXACT_STEPS and m.max(initial=0.0) <= _EXACT_STEPS):
+    if not (m.min(initial=0.0) >= -_EXACT_STEPS and m.max(initial=0.0) <= _EXACT_STEPS):
         far = np.flatnonzero(~(np.abs(m) <= _EXACT_STEPS))
         far_phase = phase[far]
         phase[far] = m[far] = 0.0
@@ -354,46 +352,30 @@ def _correlation_block(coeffs, x, y):
     Each element's float64 phase, unreduced, goes through _sincos and the
     phasors are summed in float64 in element order; this agrees with the
     per-point oracle, which reduces mod 2 pi, to ~1e-12 relative.  The
-    nodes are taken in one piece, and each _sincos call takes the phases of
-    as many elements as fit in _CHUNK, at least one: one element per call
-    over a row band of a map, several over the few nodes of the focus cell
-    or of the mask path's recomputed cells, so that a few nodes do not cost
-    N rounds of calls.  The workspace, allocated once per call, holds
-    five float64 rows of the nodes (r, 1/r, sin(theta) and the two sums)
-    and seven of a call's phases (the phase and _sincos's six scratch rows,
-    whose row 0 is also _element_phases's tmp).  Every operation is
-    elementwise, so a row band of the grid and any gathered subset of its
-    nodes get bit-identical values.  The r = 0 node is nan.
+    nodes are taken in one piece, as one row, and each _sincos call takes
+    the phases of as many elements as fit in _CHUNK, at least one: one
+    element per call over a row band of a map, several over the few nodes
+    of the focus cell or of the mask path's recomputed cells, so that a few
+    nodes do not cost N rounds of calls.  Every operation is elementwise,
+    so a row band of the grid and any gathered subset of its nodes get
+    bit-identical values.  The r = 0 node is nan.
     """
     x, y = np.broadcast_arrays(x, y)
     n, size = coeffs[0].size, x.size
     rows = min(n, max(1, _CHUNK // max(1, size)))  # elements per _sincos call
-    work = np.empty((5 + 7 * rows) * size)
-    node_rows = work[:5 * size].reshape(5, size)  # r, 1/r, sin(theta), the sums
-    call_rows = work[5 * size:].reshape(7, rows * size)  # the phase, _sincos's scratch
-    phase_row, scratch = call_rows[0], call_rows[1:]
     # each element's coefficients as a column, rows to a group; the last
     # group is padded with zero elements, whose phasors are not summed
     pad = np.zeros(-n % rows)
     columns = tuple(np.concatenate([c, pad]).reshape(-1, rows, 1) for c in coeffs)
-    k, c1, c2, ref = (float(np.max(np.abs(c))) for c in coeffs)
+    scratch = _sincos_scratch(rows * size)
+    acc = np.zeros((2, size))
     with np.errstate(invalid="ignore"):
-        r, inv_r, sin_t = node_rows[:3]
-        nodes = _Nodes(x, y, out=[a.reshape(x.shape) for a in (r, inv_r, sin_t)])
-        # seen by _element_phases as one row of nodes, as its columns need
-        nodes.r, nodes.inv_r, nodes.sin_t = r[None], inv_r[None], sin_t[None]
-        # |phase| <= |k| r + |c1| / r + |c2| + |ref| (inf at r = 0); below
-        # half the exact range, _sincos need not check it
-        bound = k * r.max(initial=0.0) + c1 * inv_r.max(initial=0.0) + c2 + ref
-        check = not bound < _EXACT_STEPS * math.pi / _TURN_STEPS
-        acc = node_rows[3:]
-        acc.fill(0.0)
-        buffers = phase_row.reshape(rows, size), scratch[0].reshape(rows, size)
-        for n0, phase in zip(range(0, n, rows), _element_phases(columns, nodes, buffers)):
-            phasors = _sincos(phase.reshape(-1), scratch, check).reshape(2, rows, size)
+        nodes = _Nodes(x.reshape(1, -1), y.reshape(1, -1))
+        for n0, phase in zip(range(0, n, rows), _element_phases(columns, nodes)):
+            phasors = _sincos(phase.reshape(-1), scratch).reshape(2, rows, size)
             for e in range(min(rows, n - n0)):
                 acc += phasors[:, e]
-    # a copy: a view would keep the workspace alive while the caller holds it
+    # a copy: _power squares the sums in place, and a view would keep both alive
     return _power(acc[0], acc[1], n).reshape(x.shape).copy()
 
 

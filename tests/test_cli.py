@@ -451,6 +451,9 @@ def test_plan_outside_region_is_a_config_error(tmp_path, capsys, sub):
                      % ", ".join(["0.0"] * 64), id="seed-with-newlines"),
         pytest.param('{"offsets_hz": [%s], "seed": [1, 2]}' % ", ".join(["0.0"] * 64),
                      id="seed-list"),
+        # plan.seed must be non-negative, and so must a plan file's
+        pytest.param('{"offsets_hz": [%s], "seed": -1}' % ", ".join(["0.0"] * 64),
+                     id="seed-negative"),
         # an offset must be a JSON number, not one that float() would read
         pytest.param('{"offsets_hz": [%s, "0"]}' % ", ".join(["0.0"] * 63),
                      id="offset-string"),
@@ -646,10 +649,10 @@ def test_region_bytes_do_not_depend_on_fdacovert_threads(tmp_path, monkeypatch):
 
 def test_heatmap_bytes_do_not_depend_on_fdacovert_threads(tmp_path, monkeypatch):
     # seven bands per map, on workers at three threads; a non-integer value
-    # is ignored with a warning
+    # is ignored with a warning, and a value below 1 means one worker
     monkeypatch.setattr(fieldmap, "_CHUNK", 49 * 8)
     outputs = {}
-    for env in ("1", "3", "two"):
+    for env in ("1", "3", "two", "0", "-2"):
         monkeypatch.setenv("FDACOVERT_THREADS", env)
         out = tmp_path / env
         args = ["heatmap", "--out", str(out)] + FAST
@@ -661,6 +664,7 @@ def test_heatmap_bytes_do_not_depend_on_fdacovert_threads(tmp_path, monkeypatch)
         outputs[env] = {name: read_bytes(out / name) for name in sorted(os.listdir(out))}
     assert len(outputs["1"]) == 4  # one map per scheme
     assert outputs["1"] == outputs["3"] == outputs["two"]
+    assert outputs["1"] == outputs["0"] == outputs["-2"]
 
 
 def test_region_and_rate_start_no_worker_at_any_thread_count(tmp_path, monkeypatch, capsys):
