@@ -44,6 +44,7 @@ from .ellipse import (
 )
 from .fieldmap import (
     GridSpec,
+    RegionSpec,
     beampattern_at,
     evaluate_grid,
     extract_noncovert,
@@ -64,7 +65,6 @@ from .geometry import (
     rayleigh_distance,
 )
 from .schemes import (
-    RegionSpec,
     build_plan,
     linear_fda_plan,
     lpa_plan,

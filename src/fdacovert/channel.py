@@ -1,4 +1,4 @@
-"""Near-field channels and their grid phase engine, MRT, SNR and the finite-blocklength rate."""
+"""Near-field channels, the focus correlation, MRT, SNR and the finite-blocklength rate."""
 
 from __future__ import annotations
 
@@ -145,7 +145,8 @@ def wrapped_propagation_phases(
     focus_correlation (so of beampattern_at); wrapping keeps the two routes
     comparable at ~1e-14 despite multi-thousand-radian raw phases.  The
     grid map and the region search form their phases, relative to the
-    focus, with _element_phases instead; this is their per-point oracle.
+    focus, with fieldmap._element_phases instead; this is their per-point
+    oracle.
     """
     plan.check_length(g)
     k = TWO_PI * (g.carrier_hz + plan.offsets()) / SPEED_OF_LIGHT
@@ -153,75 +154,6 @@ def wrapped_propagation_phases(
     d = g.spacing_m
     raw = k * r_m + (k * delta * delta) * (d * d / 2.0) / r_m - (k * delta * d) * sin_theta
     return np.remainder(raw, TWO_PI)
-
-
-def _phase_coefficients(g: ArrayGeometry, plan: FrequencyPlan, bob: PolarPoint):
-    """Per element n, (k_n, c1_n, c2_n, ref_n) of its phase relative to the focus.
-
-    At a node (r, theta) the phase is k_n r + c1_n / r - c2_n sin(theta) - ref_n,
-    that is k_n times the Fresnel path difference
-    (r - r_b) + delta_n^2 d^2/2 (1/r - 1/r_b) - delta_n d (sin(theta) - sin(theta_b)).
-    """
-    freqs = plan.frequencies_hz(g)  # validates length, warns on huge offsets
-    k = TWO_PI * freqs / SPEED_OF_LIGHT
-    delta = np.arange(g.n_antennas, dtype=float)
-    d = g.spacing_m
-    c1 = k * delta * delta * (d * d / 2.0)
-    c2 = k * delta * d
-    ref = k * bob.r_m + c1 / bob.r_m - c2 * math.sin(bob.theta_rad)
-    return k, c1, c2, ref
-
-
-class _Nodes:
-    """r, 1/r and sin(theta) of the grid nodes (x, y); x and y broadcast together."""
-
-    def __init__(self, x, y):
-        self.r = np.hypot(x, y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.inv_r = np.divide(1.0, self.r)
-            self.sin_t = np.multiply(y, self.inv_r)
-
-    @classmethod
-    def of(cls, r, inv_r, sin_t):
-        """The nodes whose r, 1/r and sin(theta) are these arrays themselves."""
-        nodes = object.__new__(cls)
-        nodes.r, nodes.inv_r, nodes.sin_t = r, inv_r, sin_t
-        return nodes
-
-    def astype(self, dtype):
-        """The same nodes with r, 1/r and sin(theta) rounded to dtype."""
-        return _Nodes.of(*(a.astype(dtype) for a in (self.r, self.inv_r, self.sin_t)))
-
-
-def _element_phases(coeffs, nodes: _Nodes):
-    """Each element's phase at the nodes in turn, in one reused buffer of the nodes' dtype.
-
-    The one phase formation of the grid map (fieldmap's value and mask
-    paths) and of the region search (schemes._RegionSample).  The phases
-    are not reduced (up to thousands of radians); the r = 0 node gets nan
-    from 0 * inf, so callers run this under np.errstate(invalid="ignore").
-    Coefficients of the nodes' dtype keep every operation in that dtype.
-    Coefficients shaped (groups, E, 1), against nodes shaped (1, M), give
-    each group's E elements at once, as an (E, M) buffer, with the same
-    operations on every value.  The caller may overwrite the buffer
-    between yields.
-    """
-    k, c1, c2, ref = coeffs
-    shape = np.broadcast_shapes(np.shape(k[0]), nodes.r.shape)
-    phase, tmp = np.empty(shape, dtype=nodes.r.dtype), np.empty(shape, dtype=nodes.r.dtype)
-    for n in range(len(k)):
-        np.multiply(nodes.r, k[n], out=phase)
-        np.multiply(nodes.inv_r, c1[n], out=tmp)
-        phase += tmp
-        np.multiply(nodes.sin_t, c2[n], out=tmp)
-        phase -= tmp
-        phase -= ref[n]
-        yield phase
-
-
-def _beta_sq(wavelength_m, r):
-    """Free-space power gain beta^2(r) = (lambda / (4 pi r))^2 of the nodes at radii r."""
-    return (wavelength_m / (4.0 * math.pi * r)) ** 2
 
 
 def focus_correlation(

@@ -25,7 +25,7 @@ from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, ellipse
 from ._csvtext import fmt, grid_blocks
 from .channel import (
     SCHEME_OPTIMIZED,
@@ -38,10 +38,11 @@ from .channel import (
 )
 from .config import ConfigError, ExperimentConfig, load_config
 from .covertness import xi, xi_inv
-from .ellipse import objective_and_gradient, optimize_offsets
+from .ellipse import optimize_offsets
 from .fieldmap import (
     GridSpec,
     RateResult,
+    RegionSpec,
     SweepRow,
     evaluate_grid,
     extract_noncovert,
@@ -53,12 +54,10 @@ from .fieldmap import (
 )
 from .geometry import ArrayGeometry, DomainError
 from .schemes import (
-    RegionSpec,
     box_half_width,
     build_plan,
     linear_fda_plan,
     random_fda_plan,
-    refine_for_region,
 )
 
 @contextmanager
@@ -280,7 +279,7 @@ def cmd_optimize(cfg: ExperimentConfig, out_dir: str) -> List[str]:
     """optimize.json: the OptimizedFDA plan that the other subcommands build.
 
     J's optimum is the starting point, and the run's grid and threshold
-    choose the plan (schemes.refine_for_region).  objective is J of the
+    choose the plan (fieldmap.RegionSpec.refine).  objective is J of the
     written offsets; start_index is the J search's winning start.
     box_half_width refuses an f_delta_hz that is not finite and > 0, as the
     plan route does.
@@ -289,7 +288,7 @@ def cmd_optimize(cfg: ExperimentConfig, out_dir: str) -> List[str]:
     bob = cfg.bob()
     box = box_half_width(cfg.f_delta_hz, cfg.box_half_width_hz)
     result = optimize_offsets(g, bob, box, seed=cfg.seed)
-    offsets = refine_for_region(g, bob, box, result.offsets_hz, _region(cfg))
+    offsets = _region(cfg).refine(g, bob, box, result.offsets_hz)
     payload = {
         "generator": f"fdacovert {__version__}",
         "config_sha256": cfg.sha256(),
@@ -299,7 +298,7 @@ def cmd_optimize(cfg: ExperimentConfig, out_dir: str) -> List[str]:
         "f_delta_hz": cfg.f_delta_hz,
         "box_half_width_hz": box,
         "seed": cfg.seed,
-        "objective": objective_and_gradient(g, bob, np.asarray(offsets))[0],
+        "objective": ellipse.objective_and_gradient(g, bob, np.asarray(offsets))[0],
         "start_index": result.start_index,
         # each start takes one projected step and the search has no
         # iteration cap to hit; the keys stay for the readers of
@@ -345,12 +344,12 @@ def _selftest_checks(cfg: ExperimentConfig):
         h = 1e3  # the objective is quadratic: central differences are h-exact
         for _ in range(3):
             f = rng.uniform(-box, box, g.n_antennas)
-            _, grad = objective_and_gradient(g, bob, f)
+            _, grad = ellipse.objective_and_gradient(g, bob, f)
             e = np.zeros_like(f)
             i = int(rng.integers(0, g.n_antennas))
             e[i] = 1.0
-            jp = objective_and_gradient(g, bob, f + h * e)[0]
-            jm = objective_and_gradient(g, bob, f - h * e)[0]
+            jp = ellipse.objective_and_gradient(g, bob, f + h * e)[0]
+            jm = ellipse.objective_and_gradient(g, bob, f - h * e)[0]
             fd = (jp - jm) / (2 * h)
             if abs(fd - grad[i]) > 1e-5 * max(abs(fd), abs(grad[i])):
                 return False

@@ -7,7 +7,9 @@ threshold mode operates on these values; the absolute ("kl") mode applies the
 detection threshold q to the warden's physical beam gain |h_w^H w|^2, which
 re-includes the per-cell beta(r).
 
-Two paths form phases with channel._element_phases, as the region search does:
+One phase engine, _element_phases on _phase_coefficients, forms each
+element's phase relative to the focus for two map paths, and for the
+region search of an OptimizedFDA plan built for a map (RegionSpec.refine):
 - the float64 value path, evaluate_grid and extract_noncovert, gives every
   cell's value; heatmap prints it, and it is the oracle of the mask path.
   Its sin and cos come from one table-driven kernel (_sincos), within
@@ -51,15 +53,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import ellipse
 from .channel import (
     SCHEME_OPTIMIZED,
     SCHEME_RANDOM,
+    TWO_PI,
     FrequencyPlan,
     LinkBudget,
-    _beta_sq,
-    _element_phases,
-    _Nodes,
-    _phase_coefficients,
     channel_gain_amplitude,
     channel_vector,
     covert_rate,
@@ -68,13 +68,14 @@ from .channel import (
     snr_bob,
 )
 from .geometry import (
+    SPEED_OF_LIGHT,
     ArrayGeometry,
     DomainError,
     PolarPoint,
     polar_to_cartesian,
     rayleigh_distance,
 )
-from .schemes import RegionSpec, box_half_width, build_plan
+from .schemes import box_half_width, build_plan, lpa_plan
 
 THREADS_ENV_VAR = "FDACOVERT_THREADS"
 
@@ -131,6 +132,64 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
+class RegionSpec:
+    """The grid and threshold whose measured non-covert region a plan shapes.
+
+    threshold_mode and threshold_value mean what they mean to
+    extract_noncovert.
+    """
+
+    grid: GridSpec
+    threshold_mode: str
+    threshold_value: float
+
+    def refine(self, g: ArrayGeometry, bob: PolarPoint, box_half_width_hz: float,
+               offsets_hz: tuple) -> tuple:
+        """Offsets in the box with fewer non-covert sample nodes than offsets_hz.
+
+        offsets_hz is the ellipse optimum.  From it, from a quarter of it and
+        from the zero plan, projected gradient descent lowers a smooth count of
+        the region's non-covert nodes: sigmoid(ln(value / threshold) / _WIDTH)
+        summed over _region_sample's nodes.  A step is scaled to the box,
+        taken only if it lowers that sum, and grows after a success and shrinks
+        after a failure.  Of the iterates whose J dominates J of both
+        anchor_starts, the one with the fewest nodes at or above the threshold
+        (then the smallest relaxed count) replaces offsets_hz if it has
+        strictly fewer such nodes.  Otherwise, and when no node lies near the
+        threshold, offsets_hz is returned as it is.
+        """
+        box = float(box_half_width_hz)
+        x_e = np.asarray(offsets_hz, dtype=float)
+        starts = [scale * x_e for scale in _START_SCALES]
+        sample = _region_sample(g, bob, starts, self)
+        if sample is None:
+            return offsets_hz
+        floor = max(ellipse.objective_and_gradient(g, bob, s)[0]
+                    for s in ellipse.anchor_starts(g.n_antennas, box))
+        evaluated = [sample.evaluate(x) for x in starts]  # starts[0] is x_e itself
+        best_key, best = evaluated[0][:2], None
+        for x, (count, relaxed, grad) in zip(starts, evaluated):
+            step = 0.5
+            for _ in range(_STEPS):
+                norm = float(np.max(np.abs(grad)))
+                if norm == 0.0:
+                    break
+                x_new = np.clip(x - (step * box / norm) * grad, -box, box)
+                trial = sample.evaluate(x_new)
+                if trial[1] >= relaxed:
+                    step *= 0.5
+                    continue
+                x, (count, relaxed, grad) = x_new, trial
+                step *= 1.5
+                if ((count, relaxed) < best_key
+                        and ellipse.objective_and_gradient(g, bob, x)[0] >= floor):
+                    best_key, best = (count, relaxed), x
+        if best is None or best_key[0] >= evaluated[0][0]:
+            return offsets_hz
+        return tuple(float(v) for v in best)
+
+
+@dataclass(frozen=True)
 class FieldMap:
     """Normalized correlation values on a grid; extract_noncovert thresholds them."""
 
@@ -176,6 +235,8 @@ def resolve_threads(n_threads: Optional[int] = None) -> int:
             return max(1, int(env))
         except ValueError:
             warnings.warn(f"ignoring non-integer {THREADS_ENV_VAR}={env!r}")
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+        return min(4, len(os.sched_getaffinity(0)))
     return min(4, os.cpu_count() or 1)
 
 
@@ -189,6 +250,75 @@ def beampattern_at(
     """
     scale = channel_gain_amplitude(g, p.r_m) * channel_gain_amplitude(g, bob.r_m)
     return float((scale / g.n_antennas) ** 2 * focus_correlation(g, plan, bob, p))
+
+
+def _phase_coefficients(g: ArrayGeometry, plan: FrequencyPlan, bob: PolarPoint):
+    """Per element n, (k_n, c1_n, c2_n, ref_n) of its phase relative to the focus.
+
+    At a node (r, theta) the phase is k_n r + c1_n / r - c2_n sin(theta) - ref_n,
+    that is k_n times the Fresnel path difference
+    (r - r_b) + delta_n^2 d^2/2 (1/r - 1/r_b) - delta_n d (sin(theta) - sin(theta_b)).
+    """
+    freqs = plan.frequencies_hz(g)  # validates length, warns on huge offsets
+    k = TWO_PI * freqs / SPEED_OF_LIGHT
+    delta = np.arange(g.n_antennas, dtype=float)
+    d = g.spacing_m
+    c1 = k * delta * delta * (d * d / 2.0)
+    c2 = k * delta * d
+    ref = k * bob.r_m + c1 / bob.r_m - c2 * math.sin(bob.theta_rad)
+    return k, c1, c2, ref
+
+
+class _Nodes:
+    """r, 1/r and sin(theta) of the grid nodes (x, y); x and y broadcast together."""
+
+    def __init__(self, x, y):
+        self.r = np.hypot(x, y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.inv_r = np.divide(1.0, self.r)
+            self.sin_t = np.multiply(y, self.inv_r)
+
+    @classmethod
+    def of(cls, r, inv_r, sin_t):
+        """The nodes whose r, 1/r and sin(theta) are these arrays themselves."""
+        nodes = object.__new__(cls)
+        nodes.r, nodes.inv_r, nodes.sin_t = r, inv_r, sin_t
+        return nodes
+
+    def astype(self, dtype):
+        """The same nodes with r, 1/r and sin(theta) rounded to dtype."""
+        return _Nodes.of(*(a.astype(dtype) for a in (self.r, self.inv_r, self.sin_t)))
+
+
+def _element_phases(coeffs, nodes: _Nodes):
+    """Each element's phase at the nodes in turn, in one reused buffer of the nodes' dtype.
+
+    The one phase formation of the grid map (the value and mask paths)
+    and of the region search (_RegionSample).  The phases
+    are not reduced (up to thousands of radians); the r = 0 node gets nan
+    from 0 * inf, so callers run this under np.errstate(invalid="ignore").
+    Coefficients of the nodes' dtype keep every operation in that dtype.
+    Coefficients shaped (groups, E, 1), against nodes shaped (1, M), give
+    each group's E elements at once, as an (E, M) buffer, with the same
+    operations on every value.  The caller may overwrite the buffer
+    between yields.
+    """
+    k, c1, c2, ref = coeffs
+    shape = np.broadcast_shapes(np.shape(k[0]), nodes.r.shape)
+    phase, tmp = np.empty(shape, dtype=nodes.r.dtype), np.empty(shape, dtype=nodes.r.dtype)
+    for n in range(len(k)):
+        np.multiply(nodes.r, k[n], out=phase)
+        np.multiply(nodes.inv_r, c1[n], out=tmp)
+        phase += tmp
+        np.multiply(nodes.sin_t, c2[n], out=tmp)
+        phase -= tmp
+        phase -= ref[n]
+        yield phase
+
+
+def _beta_sq(wavelength_m, r):
+    """Free-space power gain beta^2(r) = (lambda / (4 pi r))^2 of the nodes at radii r."""
+    return (wavelength_m / (4.0 * math.pi * r)) ** 2
 
 
 def _power(acc_re, acc_im, n_antennas):
@@ -918,6 +1048,138 @@ def lattice_errors(g: ArrayGeometry, plan: FrequencyPlan, bob: PolarPoint, spec:
         return float32, math.inf
     worst = max(float(np.nanmax(np.abs(a - b), initial=0.0)) for a, b in zip(fast, libm))
     return float32, worst / _EPS64
+
+
+# the region search of the OptimizedFDA plan (RegionSpec.refine)
+_SAMPLE_SPACING_M = 0.4  # spacing of the lattice of grid nodes sampled
+_MAX_SCAN = 1 << 21  # lattice node x element pairs scanned, on any grid
+_SAMPLE_CHUNK = 1 << 16  # node x element pairs scanned at once for nearness
+_MAX_SEARCH = 1 << 18  # near-threshold node x element pairs searched
+_NEAR_FACTOR = 4.0  # near: value within this factor of the threshold at a start
+_START_SCALES = (1.0, 0.25, 0.0)  # search starts, as multiples of the ellipse optimum
+_STEPS = 25  # trial steps per start
+_WIDTH = 0.25  # sigmoid width in ln(value / threshold)
+
+
+class _RegionSample:
+    """Grid nodes near the threshold, with the relaxed count of those above it.
+
+    A node's ratio rho = value / threshold is what extract_noncovert
+    compares with 1: in fraction mode value is |S|^2 over the focus cell's
+    |S|^2 (the focus node rides along as the last row), in kl mode it is
+    the warden gain |S|^2 beta^2(r) / N^3, S being the phasor sum.
+    Per element n, the carrier phase 2 pi f_c dD_n / c is the map's, from
+    _element_phases on the zero-offset plan, and its slope in f_dn,
+    2 pi dD_n / c, is that unreduced phase over f_c.  Both are float32
+    (sin/cos ~30x faster), as the search only ranks plans.
+    """
+
+    def __init__(self, g, bob, x, y, ln_scale, normalized):
+        self.x, self.y = x, y
+        self.carrier = np.empty((x.size, g.n_antennas), dtype=np.float32)
+        self.slope = np.empty_like(self.carrier)
+        turns = np.empty(x.shape)
+        coeffs = _phase_coefficients(g, lpa_plan(g), bob)
+        for n, phase in enumerate(_element_phases(coeffs, _Nodes(x, y))):
+            self.slope[:, n] = phase / g.carrier_hz
+            # phase - 2 pi rint(phase / 2 pi), so |phase| <~ pi
+            np.multiply(phase, 1.0 / TWO_PI, out=turns)
+            np.rint(turns, out=turns)
+            turns *= TWO_PI
+            phase -= turns
+            self.carrier[:, n] = phase
+        self.ln_scale = ln_scale
+        self.normalized = normalized
+
+    def _power(self, f):
+        phase = self.slope * f.astype(np.float32)
+        phase += self.carrier
+        cos = np.cos(phase)
+        sin = np.sin(phase, out=phase)
+        re = cos.sum(axis=1, dtype=np.float64)
+        im = sin.sum(axis=1, dtype=np.float64)
+        return cos, sin, re, im, np.maximum(re * re + im * im, np.finfo(float).tiny)
+
+    def _ln_ratio(self, power):
+        ln_power = np.log(power)
+        if self.normalized:
+            ln_power = ln_power[:-1] - ln_power[-1]
+        return ln_power + self.ln_scale
+
+    def ln_ratio(self, f):
+        return self._ln_ratio(self._power(f)[4])
+
+    def evaluate(self, f):
+        """(nodes at or above the threshold, relaxed count, its gradient in f).
+
+        The relaxed count sums sigmoid(ln(rho) / _WIDTH).  With P = |S|^2,
+        d ln P / d f_n = -2 slope_n (Re S sin z_n - Im S cos z_n) / P.
+        """
+        cos, sin, re, im, power = self._power(f)
+        ln_rho = self._ln_ratio(power)
+        soft = 0.5 + 0.5 * np.tanh(0.5 * ln_rho / _WIDTH)
+        weight = soft * (1.0 - soft) / _WIDTH  # d soft / d ln(rho)
+        if self.normalized:
+            weight = np.append(weight, -weight.sum())
+        weight /= power
+        sin *= (weight * re).astype(np.float32)[:, None]
+        cos *= (weight * im).astype(np.float32)[:, None]
+        sin -= cos
+        sin *= self.slope
+        grad = -2.0 * sin.sum(axis=0, dtype=np.float64)
+        return int(np.count_nonzero(ln_rho >= 0.0)), float(soft.sum()), grad
+
+
+def _region_sample(g, bob, starts, region):
+    """The _RegionSample of the nodes near the threshold at some start, or None.
+
+    The nodes are a lattice of the region's grid nodes about
+    _SAMPLE_SPACING_M apart, coarser where _MAX_SCAN demands it; a node is
+    near if its rho lies within _NEAR_FACTOR of 1 for one of the starts.
+    None when no node is near, and when the threshold cannot be applied
+    (the map paths then refuse the threshold, or a focus in the origin's cell).
+    """
+    grid, mode, value = region.grid, region.threshold_mode, region.threshold_value
+    if mode not in ("fraction", "kl") or not value > 0.0:
+        return None
+    n = g.n_antennas
+    stride = max(
+        1,
+        round(_SAMPLE_SPACING_M / grid.step_m),
+        math.ceil(math.sqrt(grid.n_cells * n / _MAX_SCAN)),
+    )
+    xs, ys = grid.xs()[::stride], grid.ys()[::stride]
+    x, y = np.tile(xs, ys.size), np.repeat(ys, xs.size)
+    keep = np.hypot(x, y) > 0.0
+    x, y = x[keep], y[keep]
+    if mode == "fraction":
+        focus = polar_to_cartesian(bob)
+        cell = grid.cell_of(focus.x_m, focus.y_m)
+        if cell is None:
+            return None
+        fx, fy = grid.xs()[cell[1]], grid.ys()[cell[0]]
+        if math.hypot(fx, fy) == 0.0:
+            return None
+
+    def sample(xn, yn):
+        if mode == "fraction":
+            xn, yn = np.append(xn, fx), np.append(yn, fy)
+            ln_scale = -math.log(value)
+        else:
+            ln_scale = np.log(_beta_sq(g.wavelength_m, np.hypot(xn, yn)) / (n**3 * value))
+        return _RegionSample(g, bob, xn, yn, ln_scale, mode == "fraction")
+
+    near = np.zeros(x.size, dtype=bool)
+    chunk = max(1, _SAMPLE_CHUNK // n)
+    for i in range(0, x.size, chunk):
+        part = sample(x[i:i + chunk], y[i:i + chunk])
+        for f in starts:
+            near[i:i + chunk] |= np.abs(part.ln_ratio(f)) <= math.log(_NEAR_FACTOR)
+    idx = np.flatnonzero(near)
+    if idx.size == 0:
+        return None
+    idx = idx[:: math.ceil(idx.size * n / _MAX_SEARCH)]
+    return sample(x[idx], y[idx])
 
 
 def _workers(n_jobs: int, n_threads: Optional[int] = None) -> int:

@@ -1235,3 +1235,9 @@ def test_value_path_is_elementwise_across_chunks_of_a_large_grid():
         normalizer = fmap.metadata["bob_cell_raw_correlation"]
         assert normalizer == full[fmap.metadata["bob_cell"]]
         np.testing.assert_array_equal(fmap.values, full / normalizer)
+
+
+def test_default_worker_count_follows_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.delenv("FDACOVERT_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert fieldmap.resolve_threads() == 1

@@ -19,9 +19,10 @@ from fdacovert import (
     optimized_fda_plan,
     sweep,
 )
+from fdacovert import ellipse
 from fdacovert.cli import main
 from fdacovert.config import load_config
-from fdacovert.schemes import _region_sample
+from fdacovert.fieldmap import _region_sample
 from field_csv import read_field_csv
 
 G = ArrayGeometry(n_antennas=64, carrier_hz=3e9)
@@ -81,6 +82,23 @@ def test_region_plan_stays_in_box_and_above_j_floor(region):
     clipped_linear = np.clip(linear_fda_plan(G, 1e6).offsets(), -box, box)
     assert j_of(plan.offsets_hz) >= j_of(np.zeros(64))
     assert j_of(plan.offsets_hz) >= j_of(clipped_linear)
+
+
+def test_region_search_counts_its_j_evaluations(monkeypatch):
+    # every J evaluation goes through the ellipse module's binding, so a
+    # spy there (as perfbench's trace counter is) sees the region search's
+    calls = []
+    inner = ellipse.objective_and_gradient
+
+    def counting(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(ellipse, "objective_and_gradient", counting)
+    optimized_fda_plan(G, BOB, 1e6)
+    alone = len(calls)
+    optimized_fda_plan(G, BOB, 1e6, region=RegionSpec(DESK, "fraction", 0.1))
+    assert len(calls) - alone > alone
 
 
 def test_region_plan_respects_an_overridden_box():
