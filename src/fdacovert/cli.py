@@ -278,7 +278,7 @@ def cmd_rate(cfg: ExperimentConfig, out_dir: str) -> List[str]:
 def cmd_optimize(cfg: ExperimentConfig, out_dir: str) -> List[str]:
     """optimize.json: the OptimizedFDA plan that the other subcommands build.
 
-    J's optimum is the starting point, and the run's grid and threshold
+    J's optimum is a starting point, and the run's grid and threshold
     choose the plan (fieldmap.RegionSpec.refine).  objective is J of the
     written offsets; start_index is the J search's winning start.
     box_half_width refuses an f_delta_hz that is not finite and > 0, as the

@@ -12,8 +12,9 @@ area, over the per-antenna box |f_dn| <= box half-width.
 
 J only describes the region near the focus, not its far fan.  An
 OptimizedFDA plan built for a grid and threshold therefore takes J's
-optimum as its starting point and J of the anchor starts as its floor;
-the measured region then chooses the plan (fieldmap.RegionSpec.refine).
+optimum as a starting point and J of the anchor starts as its floor; a
+coordinate search over the box's vertices and centre, scored on the
+measured region, then chooses the plan (fieldmap.RegionSpec.refine).
 """
 
 from __future__ import annotations

@@ -9,11 +9,12 @@ re-includes the per-cell beta(r).
 
 One phase engine, _element_phases on _phase_coefficients, forms each
 element's phase relative to the focus for two map paths, and for the
-region search of an OptimizedFDA plan built for a map (RegionSpec.refine):
+region search of an OptimizedFDA plan built for a map (RegionSpec.refine),
+which scales the zero-offset plan's float64 phases to each offset:
 - the float64 value path, evaluate_grid and extract_noncovert, gives every
   cell's value; heatmap prints it, and it is the oracle of the mask path.
   Its sin and cos come from one table-driven kernel (_sincos), within
-  eps64 = 2^-52 of libm's;
+  eps64 = 2^-52 of libm's, and so do the region search's;
 - the certified mask path, noncovert_region, gives only each cell's side of
   the threshold, and its mask equals the value path's cell for cell.
   region, sweep and monte_carlo_rate use it.  In kl mode each row band
@@ -147,44 +148,52 @@ class RegionSpec:
                offsets_hz: tuple) -> tuple:
         """Offsets in the box with fewer non-covert sample nodes than offsets_hz.
 
-        offsets_hz is the ellipse optimum.  From it, from a quarter of it and
-        from the zero plan, projected gradient descent lowers a smooth count of
-        the region's non-covert nodes: sigmoid(ln(value / threshold) / _WIDTH)
-        summed over _region_sample's nodes.  A step is scaled to the box,
-        taken only if it lowers that sum, and grows after a success and shrinks
-        after a failure.  Of the iterates whose J dominates J of both
-        anchor_starts, the one with the fewest nodes at or above the threshold
-        (then the smallest relaxed count) replaces offsets_hz if it has
-        strictly fewer such nodes.  Otherwise, and when no node lies near the
-        threshold, offsets_hz is returned as it is.
+        offsets_hz is the ellipse optimum.  From it and from the zero plan,
+        up to _PASSES passes over the elements set one element at a time
+        to -box, 0 or +box, on _region_sample's nodes.  A move is kept when
+        it lowers the key (_RegionSample.key: the nodes at or above the
+        threshold, then a smooth count of them) and the plan's J still
+        dominates J of both anchor_starts; a start stops early after a pass
+        without a move.  The start that ends with the lower key replaces
+        offsets_hz if it has strictly fewer such nodes.  Otherwise, and
+        when no node lies near the threshold, offsets_hz is returned as it
+        is.  A threshold or focus the map paths refuse raises their
+        DomainError here.
         """
         box = float(box_half_width_hz)
-        x_e = np.asarray(offsets_hz, dtype=float)
-        starts = [scale * x_e for scale in _START_SCALES]
+        starts = [np.asarray(offsets_hz, dtype=float), np.zeros(g.n_antennas)]
         sample = _region_sample(g, bob, starts, self)
         if sample is None:
             return offsets_hz
         floor = max(ellipse.objective_and_gradient(g, bob, s)[0]
                     for s in ellipse.anchor_starts(g.n_antennas, box))
-        evaluated = [sample.evaluate(x) for x in starts]  # starts[0] is x_e itself
-        best_key, best = evaluated[0][:2], None
-        for x, (count, relaxed, grad) in zip(starts, evaluated):
-            step = 0.5
-            for _ in range(_STEPS):
-                norm = float(np.max(np.abs(grad)))
-                if norm == 0.0:
+
+        def feasible(x):
+            return ellipse.objective_and_gradient(g, bob, x)[0] >= floor
+
+        first = sample.key(sample.sums(starts[0]))
+        best_key, best = first, None
+        for x in starts:
+            sums = sample.sums(x)
+            key = sample.key(sums)
+            for _ in range(_PASSES):
+                moved = False
+                for n in range(g.n_antennas):
+                    rest = sums - sample.phasor(n, x[n])
+                    for level in (-box, 0.0, box):
+                        if level == x[n]:
+                            continue
+                        trial = rest + sample.phasor(n, level)
+                        trial_key = sample.key(trial)
+                        moved_x = x.copy()
+                        moved_x[n] = level
+                        if trial_key < key and feasible(moved_x):
+                            x, sums, key, moved = moved_x, trial, trial_key, True
+                if not moved:
                     break
-                x_new = np.clip(x - (step * box / norm) * grad, -box, box)
-                trial = sample.evaluate(x_new)
-                if trial[1] >= relaxed:
-                    step *= 0.5
-                    continue
-                x, (count, relaxed, grad) = x_new, trial
-                step *= 1.5
-                if ((count, relaxed) < best_key
-                        and ellipse.objective_and_gradient(g, bob, x)[0] >= floor):
-                    best_key, best = (count, relaxed), x
-        if best is None or best_key[0] >= evaluated[0][0]:
+            if key < best_key and feasible(x):
+                best_key, best = key, x
+        if best is None or best_key[0] >= first[0]:
             return offsets_hz
         return tuple(float(v) for v in best)
 
@@ -294,7 +303,8 @@ def _element_phases(coeffs, nodes: _Nodes):
     """Each element's phase at the nodes in turn, in one reused buffer of the nodes' dtype.
 
     The one phase formation of the grid map (the value and mask paths)
-    and of the region search (_RegionSample).  The phases
+    and of the region search (_RegionSample, in float64 on the zero-offset
+    plan, scaled there to each offset).  The phases
     are not reduced (up to thousands of radians); the r = 0 node gets nan
     from 0 * inf, so callers run this under np.errstate(invalid="ignore").
     Coefficients of the nodes' dtype keep every operation in that dtype.
@@ -1056,92 +1066,77 @@ _MAX_SCAN = 1 << 21  # lattice node x element pairs scanned, on any grid
 _SAMPLE_CHUNK = 1 << 16  # node x element pairs scanned at once for nearness
 _MAX_SEARCH = 1 << 18  # near-threshold node x element pairs searched
 _NEAR_FACTOR = 4.0  # near: value within this factor of the threshold at a start
-_START_SCALES = (1.0, 0.25, 0.0)  # search starts, as multiples of the ellipse optimum
-_STEPS = 25  # trial steps per start
-_WIDTH = 0.25  # sigmoid width in ln(value / threshold)
+_PASSES = 3  # passes over the elements per start
 
 
 class _RegionSample:
-    """Grid nodes near the threshold, with the relaxed count of those above it.
+    """Grid nodes near the threshold, with their phasor sums at any plan.
 
     A node's ratio rho = value / threshold is what extract_noncovert
     compares with 1: in fraction mode value is |S|^2 over the focus cell's
-    |S|^2 (the focus node rides along as the last row), in kl mode it is
-    the warden gain |S|^2 beta^2(r) / N^3, S being the phasor sum.
-    Per element n, the carrier phase 2 pi f_c dD_n / c is the map's, from
-    _element_phases on the zero-offset plan, and its slope in f_dn,
-    2 pi dD_n / c, is that unreduced phase over f_c.  Both are float32
-    (sin/cos ~30x faster), as the search only ranks plans.
+    |S|^2 (the focus node rides along as the last node), in kl mode it is
+    the warden gain |S|^2 beta^2(r) / N^3, S being the phasor sum.  Every
+    coefficient of an element's phase scales with its frequency, so
+    element n's phase at offset f is its float64 carrier phase, from
+    _element_phases on the zero-offset plan, times 1 + f / f_c, and its
+    phasor is _sincos of that: every number here comes from elementwise
+    float64 arithmetic and _sincos, whatever numpy's SIMD loops.
     """
 
-    def __init__(self, g, bob, x, y, ln_scale, normalized):
+    def __init__(self, g, coeffs, x, y, scale, normalized):
         self.x, self.y = x, y
-        self.carrier = np.empty((x.size, g.n_antennas), dtype=np.float32)
-        self.slope = np.empty_like(self.carrier)
-        turns = np.empty(x.shape)
-        coeffs = _phase_coefficients(g, lpa_plan(g), bob)
+        self.carrier = np.empty((g.n_antennas, x.size))
         for n, phase in enumerate(_element_phases(coeffs, _Nodes(x, y))):
-            self.slope[:, n] = phase / g.carrier_hz
-            # phase - 2 pi rint(phase / 2 pi), so |phase| <~ pi
-            np.multiply(phase, 1.0 / TWO_PI, out=turns)
-            np.rint(turns, out=turns)
-            turns *= TWO_PI
-            phase -= turns
-            self.carrier[:, n] = phase
-        self.ln_scale = ln_scale
-        self.normalized = normalized
+            self.carrier[n] = phase
+        self.carrier_hz = g.carrier_hz
+        self.scale, self.normalized = scale, normalized
+        self.scratch = _sincos_scratch(x.size)
 
-    def _power(self, f):
-        phase = self.slope * f.astype(np.float32)
-        phase += self.carrier
-        cos = np.cos(phase)
-        sin = np.sin(phase, out=phase)
-        re = cos.sum(axis=1, dtype=np.float64)
-        im = sin.sum(axis=1, dtype=np.float64)
-        return cos, sin, re, im, np.maximum(re * re + im * im, np.finfo(float).tiny)
+    def phasor(self, n, f):
+        """Rows cos and sin of element n's phasor at offset f, in a buffer the next call reuses."""
+        return _sincos(self.carrier[n] * (1.0 + f / self.carrier_hz), self.scratch)
 
-    def _ln_ratio(self, power):
-        ln_power = np.log(power)
+    def sums(self, f):
+        """Rows Re S and Im S of the phasor sums at the offsets f, summed in element order."""
+        acc = np.zeros((2, self.x.size))
+        for n, fn in enumerate(f):
+            acc += self.phasor(n, fn)
+        return acc
+
+    def ratio(self, sums):
+        """rho of every sampled node (the focus node left out) from its phasor sums."""
+        power = sums[0] * sums[0]
+        power += sums[1] * sums[1]
         if self.normalized:
-            ln_power = ln_power[:-1] - ln_power[-1]
-        return ln_power + self.ln_scale
+            power = power[:-1] / power[-1]
+        return power * self.scale
 
-    def ln_ratio(self, f):
-        return self._ln_ratio(self._power(f)[4])
+    def key(self, sums):
+        """(nodes with rho >= 1, sum of rho^4 / (1 + rho^4)): the search's order of plans.
 
-    def evaluate(self, f):
-        """(nodes at or above the threshold, relaxed count, its gradient in f).
-
-        The relaxed count sums sigmoid(ln(rho) / _WIDTH).  With P = |S|^2,
-        d ln P / d f_n = -2 slope_n (Re S sin z_n - Im S cos z_n) / P.
+        rho^4 / (1 + rho^4) is the sigmoid of ln(rho) at width 1/4.
         """
-        cos, sin, re, im, power = self._power(f)
-        ln_rho = self._ln_ratio(power)
-        soft = 0.5 + 0.5 * np.tanh(0.5 * ln_rho / _WIDTH)
-        weight = soft * (1.0 - soft) / _WIDTH  # d soft / d ln(rho)
-        if self.normalized:
-            weight = np.append(weight, -weight.sum())
-        weight /= power
-        sin *= (weight * re).astype(np.float32)[:, None]
-        cos *= (weight * im).astype(np.float32)[:, None]
-        sin -= cos
-        sin *= self.slope
-        grad = -2.0 * sin.sum(axis=0, dtype=np.float64)
-        return int(np.count_nonzero(ln_rho >= 0.0)), float(soft.sum()), grad
+        rho = self.ratio(sums)
+        soft = rho * rho
+        soft *= soft
+        soft /= soft + 1.0
+        return int(np.count_nonzero(rho >= 1.0)), float(soft.sum())
 
 
 def _region_sample(g, bob, starts, region):
     """The _RegionSample of the nodes near the threshold at some start, or None.
 
-    The nodes are a lattice of the region's grid nodes about
-    _SAMPLE_SPACING_M apart, coarser where _MAX_SCAN demands it; a node is
-    near if its rho lies within _NEAR_FACTOR of 1 for one of the starts.
-    None when no node is near, and when the threshold cannot be applied
-    (the map paths then refuse the threshold, or a focus in the origin's cell).
+    The focus and threshold rules are the map paths': _focus_normalizer's
+    cell lookup, warning and errors, then _check_threshold's.  The nodes
+    are a lattice of the region's grid nodes about _SAMPLE_SPACING_M
+    apart, coarser where _MAX_SCAN demands it; a node is near if its rho
+    lies within a factor _NEAR_FACTOR of 1 for one of the starts.  None
+    when no node is near.
     """
     grid, mode, value = region.grid, region.threshold_mode, region.threshold_value
-    if mode not in ("fraction", "kl") or not value > 0.0:
-        return None
+    coeffs = _phase_coefficients(g, lpa_plan(g), bob)
+    bob_cell = _focus_normalizer(coeffs, bob, grid)[0]
+    _check_threshold(mode, value, bob_cell)
     n = g.n_antennas
     stride = max(
         1,
@@ -1152,29 +1147,22 @@ def _region_sample(g, bob, starts, region):
     x, y = np.tile(xs, ys.size), np.repeat(ys, xs.size)
     keep = np.hypot(x, y) > 0.0
     x, y = x[keep], y[keep]
-    if mode == "fraction":
-        focus = polar_to_cartesian(bob)
-        cell = grid.cell_of(focus.x_m, focus.y_m)
-        if cell is None:
-            return None
-        fx, fy = grid.xs()[cell[1]], grid.ys()[cell[0]]
-        if math.hypot(fx, fy) == 0.0:
-            return None
 
     def sample(xn, yn):
         if mode == "fraction":
-            xn, yn = np.append(xn, fx), np.append(yn, fy)
-            ln_scale = -math.log(value)
-        else:
-            ln_scale = np.log(_beta_sq(g.wavelength_m, np.hypot(xn, yn)) / (n**3 * value))
-        return _RegionSample(g, bob, xn, yn, ln_scale, mode == "fraction")
+            iy, ix = bob_cell
+            xn, yn = np.append(xn, grid.xs()[ix]), np.append(yn, grid.ys()[iy])
+            return _RegionSample(g, coeffs, xn, yn, 1.0 / value, True)
+        scale = _beta_sq(g.wavelength_m, np.hypot(xn, yn)) / (n**3 * value)
+        return _RegionSample(g, coeffs, xn, yn, scale, False)
 
     near = np.zeros(x.size, dtype=bool)
     chunk = max(1, _SAMPLE_CHUNK // n)
     for i in range(0, x.size, chunk):
         part = sample(x[i:i + chunk], y[i:i + chunk])
         for f in starts:
-            near[i:i + chunk] |= np.abs(part.ln_ratio(f)) <= math.log(_NEAR_FACTOR)
+            rho = part.ratio(part.sums(f))
+            near[i:i + chunk] |= (rho >= 1.0 / _NEAR_FACTOR) & (rho <= _NEAR_FACTOR)
     idx = np.flatnonzero(near)
     if idx.size == 0:
         return None

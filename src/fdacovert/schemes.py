@@ -87,10 +87,12 @@ def optimized_fda_plan(
     maximizes the boundary-ellipse objective J by a multi-start search (the
     zero plan, the box-clipped ramp and random interior points drawn with
     seed, which the plan records).  Without a region the plan is that J
-    optimum.  With one, a fieldmap.RegionSpec, J gives the starting point
-    and the floor, and the measured region chooses the plan: region.refine
-    moves the offsets to a plan with fewer non-covert cells on the region's
-    grid whose J still dominates the zero plan's and the clipped ramp's.
+    optimum.  With one, a fieldmap.RegionSpec, J gives a starting point and
+    the floor, and the measured region chooses the plan: region.refine sets
+    one offset at a time to -box, 0 or +box, from J's optimum and from the
+    zero plan, while that lowers the non-covert cells of a sample of the
+    region's grid and J still dominates the zero plan's and the clipped
+    ramp's.  It refuses the thresholds and focus that the map paths refuse.
     The plan depends only on the arguments.
     """
     box = box_half_width(f_delta_hz, box_half_width_hz)

@@ -3,18 +3,24 @@
 import json
 import math
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
 from fdacovert import (
     ArrayGeometry,
+    DomainError,
     FrequencyPlan,
     GridSpec,
     PolarPoint,
     RegionSpec,
     evaluate_grid,
     linear_fda_plan,
+    lpa_plan,
+    noncovert_region,
     objective_and_gradient,
     optimized_fda_plan,
     sweep,
@@ -136,33 +142,14 @@ def test_region_that_cannot_shrink_keeps_the_ellipse_optimum(mode, value):
 
 
 @pytest.mark.parametrize("mode,value", [("fraction", 0.1), ("kl", KL_Q)])
-def test_relaxed_count_gradient_matches_differences(mode, value):
-    rng = np.random.default_rng(5)
-    f = rng.uniform(-0.5e6, 0.5e6, 64)
-    sample = _region_sample(G, BOB, [f, np.zeros(64)], RegionSpec(DESK, mode, value))
-    _, _, grad = sample.evaluate(f)
-    # the phases are float32: a step of 2 kHz (~1e-3 rad) keeps rounding
-    # well below the change, and is still small against the 1 MHz box
-    h = 2000.0
-    directions = (
-        np.sign(grad),
-        np.eye(64)[int(np.argmax(np.abs(grad)))],
-        rng.choice([-1.0, 1.0], 64),
-    )
-    for u in directions:
-        fd = (sample.evaluate(f + h * u)[1] - sample.evaluate(f - h * u)[1]) / (2 * h)
-        assert fd == pytest.approx(float(grad @ u), rel=1e-2)
-
-
-@pytest.mark.parametrize("mode,value", [("fraction", 0.1), ("kl", KL_Q)])
 def test_sample_ratios_match_the_float64_map(mode, value):
-    # ln(value / threshold) of the searched nodes, against what
-    # extract_noncovert compares on the map; float32 phases (rounding
-    # ~1e-6 rad) bound the difference far below 1e-3
+    # value / threshold of the searched nodes, against what extract_noncovert
+    # compares on the map; both take float64 phases through _sincos, formed
+    # in other orders, so they differ by ~1e-12
     f = np.random.default_rng(6).uniform(-0.5e6, 0.5e6, 64)
     sample = _region_sample(G, BOB, [f], RegionSpec(DESK, mode, value))
     fmap = evaluate_grid(G, FrequencyPlan(tuple(f), "OptimizedFDA"), BOB, DESK)
-    nodes = slice(None, -1) if mode == "fraction" else slice(None)  # minus the focus row
+    nodes = slice(None, -1) if mode == "fraction" else slice(None)  # minus the focus node
     x, y = sample.x[nodes], sample.y[nodes]
     cells = [DESK.cell_of(a, b) for a, b in zip(x, y)]
     mapped = np.array([fmap.values[c] for c in cells])
@@ -171,7 +158,86 @@ def test_sample_ratios_match_the_float64_map(mode, value):
         beta_sq = (G.wavelength_m / (4.0 * math.pi * r)) ** 2
         mapped = mapped * fmap.metadata["bob_cell_raw_correlation"] * beta_sq / 64
     assert len(cells) > 100
-    np.testing.assert_allclose(sample.ln_ratio(f), np.log(mapped / value), rtol=0, atol=1e-3)
+    np.testing.assert_allclose(sample.ratio(sample.sums(f)), mapped / value, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("mode,value", [("fraction", 1.5), ("kl", 0.0), ("dB", 0.1)])
+def test_region_search_refuses_what_the_map_paths_refuse(mode, value):
+    g = ArrayGeometry(n_antennas=16, carrier_hz=3e9)
+    with pytest.raises(DomainError) as refused:
+        noncovert_region(g, lpa_plan(g), BOB, SMALL, mode, value)
+    with pytest.raises(DomainError) as searched:
+        optimized_fda_plan(g, BOB, 1e6, region=RegionSpec(SMALL, mode, value))
+    assert str(searched.value) == str(refused.value)
+
+
+def test_optimized_fraction_rows_lie_at_or_below_lpa():
+    # at the defaults: the 0.05 m grid and plan seed 0
+    for parameter, values in (("n_antennas", (16, 32, 64)),
+                              ("f_delta", (0.25e6, 0.5e6, 1e6, 2e6))):
+        rows = sweep(parameter, values, ("LPA", "OptimizedFDA"), G, BOB, 1e6, DESK)
+        lpa, opt = rows[0::2], rows[1::2]
+        assert [r.scheme for r in lpa + opt] == ["LPA"] * len(values) + ["OptimizedFDA"] * len(values)
+        for a, b in zip(lpa, opt):
+            assert b.mean_area_fraction <= a.mean_area_fraction, (parameter, b.value)
+
+
+def test_optimized_kl_rows_fall_with_the_increment():
+    # not asserted: kl rows at or below LPA's.  At 0.25 MHz the J floor
+    # (J of the zero plan and of the box-clipped ramp) excludes LPA itself,
+    # and the row stays just above it (0.0087204 against 0.0087063)
+    rows = sweep("f_delta", (0.25e6, 0.5e6, 1e6, 2e6), ("OptimizedFDA",), G, BOB, 1e6, DESK,
+                 threshold_mode="kl", threshold_value=KL_Q)
+    fracs = [r.mean_area_fraction for r in rows]
+    assert fracs == sorted(fracs, reverse=True), fracs
+
+
+def _dispatch_targets():
+    """numpy's SIMD dispatch targets beyond its baseline that this CPU has."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    present = {name for name, on in umath.__cpu_features__.items() if on}
+    return [name for name in umath.__cpu_dispatch__ if name in present]
+
+
+def test_optimized_outputs_do_not_depend_on_simd_dispatch(tmp_path):
+    # NPY_DISABLE_CPU_FEATURES makes numpy take its baseline loops in the
+    # process it is set for; on a CPU without dispatch targets it changes nothing
+    disabled = " ".join(_dispatch_targets())
+    if not disabled:
+        return
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    runs = [
+        ("optimize", []),
+        ("optimize", ["threshold.mode=kl"]),
+        ("optimize", ["geometry.n_antennas=16"]),
+        ("heatmap", ["grid.x_max_m=12", "grid.y_max_m=12", "grid.step_m=0.25",
+                     "sweep.schemes=OptimizedFDA"]),
+    ]
+    outputs = {}
+    for label, features in (("default", ""), ("disabled", disabled)):
+        code = textwrap.dedent(
+            f"""
+            from fdacovert.cli import main
+            for i, (sub, sets) in enumerate({runs!r}):
+                args = [sub, "--out", {str(tmp_path / label)!r} + f"/{{i}}"]
+                for s in sets:
+                    args += ["--set", s]
+                assert main(args) == 0, args
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=src, NPY_DISABLE_CPU_FEATURES=features)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+        base = tmp_path / label
+        outputs[label] = {str(p.relative_to(base)): p.read_bytes()
+                          for p in base.rglob("*") if p.is_file()}
+    assert len(outputs["default"]) == 4
+    changed = sorted(k for k, v in outputs["default"].items() if outputs["disabled"].get(k) != v)
+    assert not changed, f"with {disabled} disabled, {changed} changed"
 
 
 def test_optimize_plan_is_the_plan_region_and_heatmap_build(tmp_path):

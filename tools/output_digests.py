@@ -14,7 +14,8 @@ only moves code lists the same.  Two checkouts are compared with
          <(python tools/output_digests.py NEW /tmp/new)
 
 The invocations cover every subcommand: optimize, heatmap and region at two
-plan seeds, heatmap at 1, 2 and 3 worker processes, both sweeps in both
+plan seeds, optimize with the kl threshold and at N = 16, heatmap at 1, 2
+and 3 worker processes, both sweeps in both
 threshold modes over three RandomFDA seeds, rate on the 0.02 m grid with
 the kl threshold, and selftest.  Standard library only.
 """
@@ -38,6 +39,8 @@ RATE = [
 INVOCATIONS = [
     *((f"{sub}-seed{seed}", sub, [f"plan.seed={seed}"], None)
       for seed in (8285, 6989) for sub in ("optimize", "heatmap", "region")),
+    ("optimize-kl", "optimize", ["threshold.mode=kl"], None),
+    ("optimize-n16", "optimize", ["geometry.n_antennas=16"], None),
     *((f"heatmap-threads{n}", "heatmap", ["plan.seed=8285"], str(n)) for n in (1, 2, 3)),
     *((f"{sub}-{mode}", sub, [SEEDS, f"threshold.mode={mode}"], None)
       for sub in ("sweep-n", "sweep-fdelta") for mode in ("fraction", "kl")),
