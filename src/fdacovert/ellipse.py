@@ -76,12 +76,17 @@ def g_coefficients(g: ArrayGeometry, plan: FrequencyPlan, bob: PolarPoint):
 
 
 def _g_terms(g: ArrayGeometry, psi: np.ndarray, kappa: float):
-    """(g1, g2, g3) from psi and the angular scale kappa = f_c d cos(theta_b)."""
+    """(g1, g2, g3) from psi and the angular scale kappa = f_c d cos(theta_b).
+
+    The inner products are numpy's elementwise products and sums, not BLAS
+    dot (psi @ psi), whose rounding depends on the kernel that OpenBLAS
+    picks for the CPU; so J, and optimize.json, do not.
+    """
     n = g.n_antennas
     delta = np.arange(n, dtype=float)
     s_psi = float(psi.sum())
-    g1 = _K4 * (2.0 * n * float(psi @ psi) - 2.0 * s_psi**2)
-    g2 = _K4 * kappa * (2.0 * n * float(psi @ delta) - 2.0 * s_psi * float(delta.sum()))
+    g1 = _K4 * (2.0 * n * float(np.sum(psi * psi)) - 2.0 * s_psi**2)
+    g2 = _K4 * kappa * (2.0 * n * float(np.sum(psi * delta)) - 2.0 * s_psi * float(delta.sum()))
     g3 = _K4 * kappa**2 * (n * n * (n * n - 1) / 6.0)
     return g1, g2, g3
 

@@ -7,10 +7,12 @@ threshold mode operates on these values; the absolute ("kl") mode applies the
 detection threshold q to the warden's physical beam gain |h_w^H w|^2, which
 re-includes the per-cell beta(r).
 
-One phase engine, _element_phases on _phase_coefficients, forms each
-element's phase relative to the focus for two map paths, and for the
-region search of an OptimizedFDA plan built for a map (RegionSpec.refine),
-which scales the zero-offset plan's float64 phases to each offset:
+One phase engine, _phase_coefficients, gives each element's phase
+relative to the focus as linear in (r, 1/r, sin(theta), 1).  The float64
+paths form it with _element_phases: the value path, and the region search
+of an OptimizedFDA plan built for a map (RegionSpec.refine), which scales
+the zero-offset plan's float64 phases to each offset.  The mask path forms
+its float32 phases as one matrix product (_carrier_weights):
 - the float64 value path, evaluate_grid and extract_noncovert, gives every
   cell's value; heatmap prints it, and it is the oracle of the mask path.
   Its sin and cos come from one table-driven kernel (_sincos), within
@@ -25,9 +27,9 @@ which scales the zero-offset plan's float64 phases to each offset:
   certified first-order bound at one float32 anchor per tile
   (_tile_screen) puts every value in it on one side of the threshold.
   Only the nodes of the other tiles are evaluated: their phases formed in
-  float32, relative to the carrier, and their float32 sin/cos summed in
-  float32 (_float32_block), then, in float64, the nodes within the
-  derived error bound of the threshold.
+  float32, relative to the carrier, by BLAS sgemm, and their float32
+  sin/cos summed in float32 (_float32_block), then, in float64, the nodes
+  within the derived error bound of the threshold.
 
 A map is cut into row bands of up to _CHUNK nodes (_row_bands), whatever
 the thread count, and comes as a stream of bands in row order.
@@ -151,11 +153,18 @@ class RegionSpec:
         offsets_hz is the ellipse optimum.  From it and from the zero plan,
         up to _PASSES passes over the elements set one element at a time
         to -box, 0 or +box, on _region_sample's nodes.  A move is kept when
-        it lowers the key (_RegionSample.key: the nodes at or above the
+        it lowers the key (_RegionSample.keys: the nodes at or above the
         threshold, then a smooth count of them) and the plan's J still
         dominates J of both anchor_starts; a start stops early after a pass
-        without a move.  The start that ends with the lower key replaces
-        offsets_hz if it has strictly fewer such nodes.  Otherwise, and
+        without a move.  Each element's phasors at its offset and at its
+        other levels come from one _sincos call, and the keys of its moves
+        from one evaluation; they are tried in the order -box, 0, +box,
+        each against the key of the moves kept so far.  The level that is
+        the element's offset as it is visited is not tried, even after a
+        move away from it: its trial is the sums the element started
+        from, whose key the move has already beaten.  The start that
+        ends with the lower key replaces offsets_hz if it has strictly
+        fewer such nodes.  Otherwise, and
         when no node lies near the threshold, offsets_hz is returned as it
         is.  A threshold or focus the map paths refuse raises their
         DomainError here.
@@ -171,24 +180,24 @@ class RegionSpec:
         def feasible(x):
             return ellipse.objective_and_gradient(g, bob, x)[0] >= floor
 
-        first = sample.key(sample.sums(starts[0]))
-        best_key, best = first, None
+        first = best = None
         for x in starts:
             sums = sample.sums(x)
-            key = sample.key(sums)
+            (key,) = sample.keys(sums[None])
+            if first is None:
+                first = best_key = key
             for _ in range(_PASSES):
                 moved = False
                 for n in range(g.n_antennas):
-                    rest = sums - sample.phasor(n, x[n])
-                    for level in (-box, 0.0, box):
-                        if level == x[n]:
-                            continue
-                        trial = rest + sample.phasor(n, level)
-                        trial_key = sample.key(trial)
+                    levels = [level for level in (-box, 0.0, box) if level != x[n]]
+                    phasors = sample.phasors([n] * (1 + len(levels)), [x[n], *levels])
+                    trials = phasors[1:]  # in place: the phasor at each level, plus the rest
+                    trials += sums - phasors[0]
+                    for level, trial, trial_key in zip(levels, trials, sample.keys(trials)):
                         moved_x = x.copy()
                         moved_x[n] = level
                         if trial_key < key and feasible(moved_x):
-                            x, sums, key, moved = moved_x, trial, trial_key, True
+                            x, sums, key, moved = moved_x, trial.copy(), trial_key, True
                 if not moved:
                     break
             if key < best_key and feasible(x):
@@ -287,31 +296,19 @@ class _Nodes:
             self.inv_r = np.divide(1.0, self.r)
             self.sin_t = np.multiply(y, self.inv_r)
 
-    @classmethod
-    def of(cls, r, inv_r, sin_t):
-        """The nodes whose r, 1/r and sin(theta) are these arrays themselves."""
-        nodes = object.__new__(cls)
-        nodes.r, nodes.inv_r, nodes.sin_t = r, inv_r, sin_t
-        return nodes
-
-    def astype(self, dtype):
-        """The same nodes with r, 1/r and sin(theta) rounded to dtype."""
-        return _Nodes.of(*(a.astype(dtype) for a in (self.r, self.inv_r, self.sin_t)))
-
 
 def _element_phases(coeffs, nodes: _Nodes):
-    """Each element's phase at the nodes in turn, in one reused buffer of the nodes' dtype.
+    """Each element's float64 phase at the nodes in turn, in one reused buffer.
 
-    The one phase formation of the grid map (the value and mask paths)
-    and of the region search (_RegionSample, in float64 on the zero-offset
-    plan, scaled there to each offset).  The phases
-    are not reduced (up to thousands of radians); the r = 0 node gets nan
-    from 0 * inf, so callers run this under np.errstate(invalid="ignore").
-    Coefficients of the nodes' dtype keep every operation in that dtype.
-    Coefficients shaped (groups, E, 1), against nodes shaped (1, M), give
-    each group's E elements at once, as an (E, M) buffer, with the same
-    operations on every value.  The caller may overwrite the buffer
-    between yields.
+    The phase formation of the float64 paths: the value path and the
+    region search (_RegionSample, on the zero-offset plan, scaled there to
+    each offset).  The mask path forms its float32 phases as a matrix
+    product instead (_carrier_weights).  The phases are not reduced (up to
+    thousands of radians); the r = 0 node gets nan from 0 * inf, so callers
+    run this under np.errstate(invalid="ignore").  Coefficients shaped
+    (groups, E, 1), against nodes shaped (1, M), give each group's E
+    elements at once, as an (E, M) buffer, with the same operations on
+    every value.  The caller may overwrite the buffer between yields.
     """
     k, c1, c2, ref = coeffs
     shape = np.broadcast_shapes(np.shape(k[0]), nodes.r.shape)
@@ -542,6 +539,24 @@ def _carrier_shifted(coeffs):
     return k - 0.5 * (k.min() + k.max()), c1, c2, ref - 0.5 * (ref.min() + ref.max())
 
 
+def _carrier_weights(shifted):
+    """W: the (N, 4) float32 rows (k - k0, c1, -c2, -(ref - c0)) of _carrier_shifted.
+
+    W @ P, P the float32 rows r, 1/r, sin(theta) and 1 of some nodes
+    (_node_rows), are the elements' shifted phases at those nodes, each a
+    dot product of length 4, in one BLAS sgemm.
+    """
+    a, b, c, d = shifted
+    return np.array([a, b, -c, -d], dtype=np.float32).T
+
+
+def _node_rows(r, inv_r, sin_t):
+    """P: the (4, M) float32 rows r, 1/r, sin(theta) and 1 of M nodes, rounded from float64."""
+    rows = np.ones((4, r.size), dtype=np.float32)
+    rows[0], rows[1], rows[2] = r, inv_r, sin_t
+    return rows
+
+
 def _float32_block(coeffs, nodes: _Nodes):
     """(raw32, bound): the raw correlation in float32, and per node how far it may be off.
 
@@ -549,27 +564,34 @@ def _float32_block(coeffs, nodes: _Nodes):
     are formed less k0 r - c0, with k0 and c0 the midranges of k and ref (k0
     is the carrier wavenumber of LPA and LinearFDA plans).  That drops the
     largest term, ~3,000 rad at the default grid's far corner.  The shifted
-    coefficients (k - k0, c1, c2, ref - c0) and the nodes' r, 1/r and
-    sin(theta) are cast to float32, _element_phases forms the phases in
-    float32 (up to a few hundred rad away from the origin), and their
-    float32 sin and cos are summed in float32.  Only the squares of the two
-    sums are taken in float64.
+    coefficients, as the (N, 4) float32 matrix W (_carrier_weights), and
+    the nodes' r, 1/r, sin(theta) and 1, as the (4, M) float32 matrix P
+    (_node_rows), give the float32 phases (up to a few hundred rad away
+    from the origin) as the product W @ P, one BLAS sgemm per block of
+    _CHUNK // N nodes.  Their float32 cos and sin are summed over the
+    elements by one numpy reduction per block into float32 sums.  Only the
+    squares of the two sums are taken in float64.
 
     The bound follows Higham, Accuracy and Stability of Numerical
-    Algorithms (2nd ed., 2002), Lemma 3.1 and section 4.2, with u = eps / 2,
-    eps = 2^-23 and gamma_m = m u / (1 - m u).  At a node, let T_n be the
-    sum of the |terms| of element n's shifted phase, |(k_n - k0) r| +
-    |c1_n / r| + |c2_n sin(theta)| + |ref_n - c0|, and T64_n that of its
-    unshifted phase.
+    Algorithms (2nd ed., 2002), Lemma 3.1, section 3.1 (the dot product)
+    and section 4.2 (summation), with u = eps / 2, eps = 2^-23 and gamma_m
+    = m u / (1 - m u).  At a node, let T_n be the sum of the |terms| of
+    element n's shifted phase, |(k_n - k0) r| + |c1_n / r| + |c2_n
+    sin(theta)| + |ref_n - c0|, and T64_n that of its unshifted phase.
       - Casts: a coefficient, shifted in float64 and rounded to float32, is
         off by a factor (1 + u64)(1 + u) <= (1 + u)^2, a node value by
         (1 + u).
-      - Formation: one product and at most three sums per term.  So each
-        term carries at most 7 factors (1 + theta), |theta| <= u, and the
-        phase is off by at most gamma_7 T_n <= 4 eps T_n.
+      - Formation: each phase is a dot product of length 4, a row of W
+        times a column of P.  In any order of its additions, with or
+        without fused multiply-adds, as any sgemm kernel may take them, it
+        is within gamma_4 of exact relative to the sum of its |terms|.
+        With the casts each term carries at most 7 factors (1 + theta),
+        |theta| <= u, and the phase is off by at most gamma_7 T_n <= 4 eps
+        T_n.
       - Trig: cos and sin are off by _TRIG_ULPS ulps, of at most eps, each.
-      - Accumulation: recursive summation of N phasors of modulus ~1 is off
-        by at most gamma_(N-1) N <= N^2 eps in |S|.
+      - Accumulation: N - 1 additions of N phasors of modulus ~1, in any
+        order, as numpy's reduction may take them, are off by at most
+        gamma_(N-1) N <= N^2 eps in |S|.
     As |e^{ja} - e^{jb}| <= |a - b|, these give
         |S32 - S| / N <= 4 eps mean_n T_n + sqrt(2) _TRIG_ULPS eps + N eps.
     The float64 value path forms its unshifted phases to within gamma_4 of
@@ -583,20 +605,20 @@ def _float32_block(coeffs, nodes: _Nodes):
     noncovert_region recomputes within _SAFETY = 2 times it.  The r = 0 node
     gets nan.
     """
-    k, c1, c2, ref = coeffs
+    k = coeffs[0]
     shifted = _carrier_shifted(coeffs)
-    shape = nodes.r.shape
-    trig = np.empty(shape, dtype=np.float32)
-    acc_re = np.zeros(shape, dtype=np.float32)
-    acc_im = np.zeros(shape, dtype=np.float32)
-    coeffs32 = tuple(c.astype(np.float32) for c in shifted)
+    weights = _carrier_weights(shifted)
+    flat = tuple(a.reshape(-1) for a in (nodes.r, nodes.inv_r, nodes.sin_t))
+    acc = np.empty((2, nodes.r.size), dtype=np.float32)
+    step = max(1, _CHUNK // k.size)  # nodes per block: up to _CHUNK phases
     eps = float(np.finfo(np.float32).eps)
     with np.errstate(invalid="ignore"):
-        for phase in _element_phases(coeffs32, nodes.astype(np.float32)):
-            np.cos(phase, out=trig)
-            acc_re += trig
+        for i in range(0, nodes.r.size, step):
+            phase = weights @ _node_rows(*(a[i:i + step] for a in flat))
+            trig = np.cos(phase)
+            trig.sum(axis=0, out=acc[0, i:i + step])
             np.sin(phase, out=trig)
-            acc_im += trig
+            trig.sum(axis=0, out=acc[1, i:i + step])
         # 4 eps mean_n T_n + 4 eps64 mean_n T64_n, weighing r, 1/r, |sin(theta)| and 1
         w_k, w_c1, w_c2, w_ref = (
             4.0 * eps * float(np.mean(np.abs(a))) + 4.0 * _EPS64 * float(np.mean(np.abs(b)))
@@ -607,7 +629,8 @@ def _float32_block(coeffs, nodes: _Nodes):
         delta += w_ref + (math.sqrt(2.0) * _TRIG_ULPS + k.size) * eps
         bound = delta * (delta + 2.0)
         bound += _float64_slack(k.size)
-    return _power(acc_re.astype(float), acc_im.astype(float), k.size), bound
+    raw = _power(acc[0].astype(float), acc[1].astype(float), k.size)
+    return raw.reshape(nodes.r.shape), bound
 
 
 def _row_bands(band, ys, n_cols: int, n_threads: Optional[int]):
@@ -882,10 +905,13 @@ def noncovert_region(
     G = sum_n (a_n, b_n, c_n) e^{j phi_n(p0)},
         |S - S0| <= sum_i |G_i| h_i + 1/2 sum_n D_n^2,
     where sum_n D_n^2 = h^T Q h with Q = C C^T, C the 3 x N matrix of |a|,
-    |b| and |c|.  S0 and G are computed in float32, one matmul of the
-    anchor's phasors per band.  By _float32_block's argument each phasor is
-    off by at most e = 4 eps max_n T_n + sqrt(2) _TRIG_ULPS eps at the
-    anchor, and the weights' casts and the sums add (N + 2) eps (1 + e), so
+    |b| and |c|.  S0 and G are computed in float32, per band: the anchors'
+    phases as _float32_block forms them, W @ P with P the rows of the
+    anchors (p0, 1), then one matmul of their phasors.  By _float32_block's
+    argument, which holds in any order of the sgemm's additions, each
+    phasor is off by at most e = 4 eps max_n T_n + sqrt(2) _TRIG_ULPS eps
+    at the anchor, and the weights' casts and the sums add (N + 2) eps (1 +
+    e), in any order too, so
     S0 is within N e' of exact and G_i within e' sum_n C_in, with e' = e +
     (N + 2) eps (1 + e); both are taken _SAFETY times.  That puts |S| / N
     at every node of the tile within m0 +- w.  The float64 value path forms
@@ -996,8 +1022,7 @@ def _tile_screen(coeffs, x, y, rule):
         centre = 0.5 * (lo + hi)
         half = np.maximum(hi - centre, centre - lo) * (1.0 + widen)
         shifted = _carrier_shifted(coeffs)
-        columns = tuple(c.astype(np.float32)[None, :, None] for c in shifted)
-        phase = next(_element_phases(columns, _Nodes.of(*centre[:, None].astype(np.float32))))
+        phase = _carrier_weights(shifted) @ _node_rows(*centre)
         weights = np.array([np.ones(n), *shifted[:3]], dtype=np.float32)
         sums = np.hypot((weights @ np.cos(phase)).astype(float),
                         (weights @ np.sin(phase)).astype(float))  # |S0|, |G_r|, |G_u|, |G_s|
@@ -1063,10 +1088,13 @@ def lattice_errors(g: ArrayGeometry, plan: FrequencyPlan, bob: PolarPoint, spec:
 # the region search of the OptimizedFDA plan (RegionSpec.refine)
 _SAMPLE_SPACING_M = 0.4  # spacing of the lattice of grid nodes sampled
 _MAX_SCAN = 1 << 21  # lattice node x element pairs scanned, on any grid
-_SAMPLE_CHUNK = 1 << 16  # node x element pairs scanned at once for nearness
+_SAMPLE_CHUNK = 1 << 16  # floats per part scanned for nearness: its phases and _sincos scratch
 _MAX_SEARCH = 1 << 18  # near-threshold node x element pairs searched
 _NEAR_FACTOR = 4.0  # near: value within this factor of the threshold at a start
 _PASSES = 3  # passes over the elements per start
+# phasors per _sincos call of the search: one element at its offset and its
+# three levels, or four elements of a sum
+_PHASORS = 4
 
 
 class _RegionSample:
@@ -1079,7 +1107,10 @@ class _RegionSample:
     coefficient of an element's phase scales with its frequency, so
     element n's phase at offset f is its float64 carrier phase, from
     _element_phases on the zero-offset plan, times 1 + f / f_c, and its
-    phasor is _sincos of that: every number here comes from elementwise
+    phasor is _sincos of that.  One _sincos call takes up to _PHASORS
+    (element, offset) pairs, and every operation is elementwise, so each
+    phasor is bit for bit the one a call of its own would give; sums adds
+    them in element order.  So every number here comes from elementwise
     float64 arithmetic and _sincos, whatever numpy's SIMD loops.
     """
 
@@ -1090,37 +1121,51 @@ class _RegionSample:
             self.carrier[n] = phase
         self.carrier_hz = g.carrier_hz
         self.scale, self.normalized = scale, normalized
-        self.scratch = _sincos_scratch(x.size)
+        self.scratch = _sincos_scratch(_PHASORS * x.size)
 
-    def phasor(self, n, f):
-        """Rows cos and sin of element n's phasor at offset f, in a buffer the next call reuses."""
-        return _sincos(self.carrier[n] * (1.0 + f / self.carrier_hz), self.scratch)
+    def phasors(self, elements, offsets):
+        """(len(offsets), 2, M): rows cos and sin of each listed element at its offset.
+
+        One _sincos call, into a buffer the next call reuses.
+        """
+        phase = self.carrier[elements]  # a copy: elements is a list
+        phase *= (1.0 + np.asarray(offsets, dtype=float) / self.carrier_hz)[:, None]
+        phasors = _sincos(phase.reshape(-1), self.scratch)
+        return phasors.reshape(2, len(offsets), -1).swapaxes(0, 1)
 
     def sums(self, f):
         """Rows Re S and Im S of the phasor sums at the offsets f, summed in element order."""
         acc = np.zeros((2, self.x.size))
-        for n, fn in enumerate(f):
-            acc += self.phasor(n, fn)
+        for n0 in range(0, len(f), _PHASORS):
+            group = f[n0:n0 + _PHASORS]
+            for phasor in self.phasors(list(range(n0, n0 + len(group))), group):
+                acc += phasor
         return acc
 
     def ratio(self, sums):
-        """rho of every sampled node (the focus node left out) from its phasor sums."""
-        power = sums[0] * sums[0]
-        power += sums[1] * sums[1]
+        """rho of every sampled node (the focus node left out) from sums shaped (..., 2, M)."""
+        power = sums[..., 0, :] * sums[..., 0, :]
+        power += sums[..., 1, :] * sums[..., 1, :]
         if self.normalized:
-            power = power[:-1] / power[-1]
-        return power * self.scale
+            focus = power[..., -1:].copy()
+            power = power[..., :-1]
+            power /= focus
+        power *= self.scale
+        return power
 
-    def key(self, sums):
-        """(nodes with rho >= 1, sum of rho^4 / (1 + rho^4)): the search's order of plans.
+    def keys(self, sums):
+        """Per plan of sums (plans, 2, M), the search's order of plans.
 
+        A key is (nodes with rho >= 1, sum of rho^4 / (1 + rho^4)), and
         rho^4 / (1 + rho^4) is the sigmoid of ln(rho) at width 1/4.
         """
         rho = self.ratio(sums)
-        soft = rho * rho
+        counts = np.count_nonzero(rho >= 1.0, axis=-1)
+        soft = rho  # in place: rho is not needed past the counts
+        soft *= soft
         soft *= soft
         soft /= soft + 1.0
-        return int(np.count_nonzero(rho >= 1.0)), float(soft.sum())
+        return list(zip(counts.tolist(), soft.sum(axis=-1).tolist()))
 
 
 def _region_sample(g, bob, starts, region):
@@ -1156,13 +1201,15 @@ def _region_sample(g, bob, starts, region):
         scale = _beta_sq(g.wavelength_m, np.hypot(xn, yn)) / (n**3 * value)
         return _RegionSample(g, coeffs, xn, yn, scale, False)
 
+    def near_a_start(part):
+        rho = np.array([part.ratio(part.sums(f)) for f in starts])
+        return ((rho >= 1.0 / _NEAR_FACTOR) & (rho <= _NEAR_FACTOR)).any(axis=0)
+
+    # each part is freed before the next one, and before the sample
     near = np.zeros(x.size, dtype=bool)
-    chunk = max(1, _SAMPLE_CHUNK // n)
+    chunk = max(1, _SAMPLE_CHUNK // (n + _sincos_scratch(_PHASORS).size))  # nodes per part
     for i in range(0, x.size, chunk):
-        part = sample(x[i:i + chunk], y[i:i + chunk])
-        for f in starts:
-            rho = part.ratio(part.sums(f))
-            near[i:i + chunk] |= (rho >= 1.0 / _NEAR_FACTOR) & (rho <= _NEAR_FACTOR)
+        near[i:i + chunk] = near_a_start(sample(x[i:i + chunk], y[i:i + chunk]))
     idx = np.flatnonzero(near)
     if idx.size == 0:
         return None

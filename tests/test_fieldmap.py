@@ -558,6 +558,27 @@ def test_float32_bound_holds_out_to_the_far_corner(scheme, n):
         )
 
 
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("scheme", ["LPA", "LinearFDA", "RandomFDA", "OptimizedFDA"])
+def test_float32_bound_holds_around_the_origin(scheme, n):
+    # next to the origin c1 / r, the largest term of the float32 sgemm
+    # there, reaches ~1.6e4 rad at r = 0.02 m for N = 64.  The grid holds the origin
+    # (nan in both paths) and its nodes run through many blocks of the
+    # product, the last one partial
+    g = ArrayGeometry(n_antennas=n, carrier_hz=3e9)
+    plan = build_plan(scheme, g, BOB, 2e6, seed=1)
+    coeffs = fieldmap._phase_coefficients(g, plan, BOB)
+    grid = GridSpec(-1.0, 3.0, -1.0, 3.0, 0.02)
+    xs, ys = grid.xs()[None, :], grid.ys()[:, None]
+    nodes = fieldmap._Nodes(xs, ys)
+    raw32, bound = fieldmap._float32_block(coeffs, nodes)
+    raw64 = fieldmap._correlation_block(coeffs, xs, ys)
+    origin = nodes.r == 0.0
+    assert np.count_nonzero(origin) == 1 and np.isnan(raw32[origin]).all()
+    assert nodes.r[~origin].min() < 0.03
+    assert np.all(np.abs(raw32 - raw64)[~origin] <= bound[~origin])
+
+
 def test_sweep_measures_each_distinct_plan_once(monkeypatch):
     monkeypatch.setenv("FDACOVERT_THREADS", "1")
     measured = []

@@ -28,7 +28,7 @@ from fdacovert import (
 from fdacovert import ellipse
 from fdacovert.cli import main
 from fdacovert.config import load_config
-from fdacovert.fieldmap import _region_sample
+from fdacovert.fieldmap import _region_sample, _sincos, _sincos_scratch
 from field_csv import read_field_csv
 
 G = ArrayGeometry(n_antennas=64, carrier_hz=3e9)
@@ -161,6 +161,45 @@ def test_sample_ratios_match_the_float64_map(mode, value):
     np.testing.assert_allclose(sample.ratio(sample.sums(f)), mapped / value, rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("mode,value", [("fraction", 0.1), ("kl", KL_Q)])
+def test_batched_phasors_are_the_one_offset_phasors(mode, value, n):
+    # the search asks _sincos for several (element, offset) phasors at once;
+    # each must be bit for bit one call's _sincos(carrier[n] (1 + f / f_c)),
+    # and the sums those phasors added in element order
+    g = ArrayGeometry(n_antennas=n, carrier_hz=3e9)
+    box = 0.5e6
+    f = np.random.default_rng(n).uniform(-box, box, n)
+    sample = _region_sample(g, BOB, [f], RegionSpec(DESK, mode, value))
+    scratch = _sincos_scratch(sample.x.size)
+
+    def one(e, offset):
+        return _sincos(sample.carrier[e] * (1.0 + offset / g.carrier_hz), scratch).copy()
+
+    def one_key(sums):  # one plan's key, from one plan's sums
+        power = sums[0] * sums[0]
+        power += sums[1] * sums[1]
+        if mode == "fraction":
+            power = power[:-1] / power[-1]
+        rho = power * sample.scale
+        soft = rho * rho
+        soft *= soft
+        soft /= soft + 1.0
+        return int(np.count_nonzero(rho >= 1.0)), float(soft.sum())
+
+    reference = np.zeros((2, sample.x.size))
+    for e in range(n):
+        reference += one(e, f[e])
+    assert sample.x.size > 100 and np.array_equal(sample.sums(f), reference)
+    for e in (0, n // 2, n - 1):
+        offsets = [f[e], -box, 0.0, box]  # an element at its offset and at its three levels
+        batched = sample.phasors([e] * len(offsets), offsets)
+        for phasor, offset in zip(batched, offsets):
+            assert np.array_equal(phasor, one(e, offset))
+        trials = (reference - batched[0]) + batched[1:]
+        assert sample.keys(trials) == [one_key(t) for t in trials]
+
+
 @pytest.mark.parametrize("mode,value", [("fraction", 1.5), ("kl", 0.0), ("dB", 0.1)])
 def test_region_search_refuses_what_the_map_paths_refuse(mode, value):
     g = ArrayGeometry(n_antennas=16, carrier_hz=3e9)
@@ -238,6 +277,58 @@ def test_optimized_outputs_do_not_depend_on_simd_dispatch(tmp_path):
     assert len(outputs["default"]) == 4
     changed = sorted(k for k, v in outputs["default"].items() if outputs["disabled"].get(k) != v)
     assert not changed, f"with {disabled} disabled, {changed} changed"
+
+
+def _blas_name():
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # a numpy without mode="dicts"
+        return "unknown"
+
+
+def test_outputs_do_not_depend_on_the_openblas_kernel(tmp_path):
+    # OPENBLAS_CORETYPE makes an OpenBLAS built with DYNAMIC_ARCH use the
+    # kernels of that CPU type in the process it is set for: Haswell's
+    # (AVX2) and Prescott's (SSE3) round dot products differently from
+    # SkylakeX's.  With a BLAS other than OpenBLAS the variable does
+    # nothing, and the three runs agree trivially.  J (optimize) must not
+    # use BLAS dot, and the masks, whose float32 phases are sgemm products,
+    # are certified to be the float64 value path's whatever the kernel
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    small = ["grid.x_max_m=12", "grid.y_max_m=12", "grid.step_m=0.1"]
+    runs = [
+        ("optimize", ["geometry.n_antennas=16"]),
+        ("optimize", ["geometry.n_antennas=16", "threshold.mode=kl"]),
+        ("region", small),
+        ("region", small + ["threshold.mode=kl"]),
+    ]
+    code = textwrap.dedent(
+        f"""
+        import sys
+        from fdacovert.cli import main
+        for i, (sub, sets) in enumerate({runs!r}):
+            args = [sub, "--out", sys.argv[1] + f"/{{i}}"]
+            for s in sets:
+                args += ["--set", s]
+            assert main(args) == 0, args
+        """
+    )
+    outputs = {}
+    for coretype in (None, "Haswell", "Prescott"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = src
+        if coretype is not None:
+            env["OPENBLAS_CORETYPE"] = coretype
+        base = tmp_path / str(coretype)
+        proc = subprocess.run([sys.executable, "-c", code, str(base)], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outputs[coretype] = {str(p.relative_to(base)): p.read_bytes()
+                             for p in base.rglob("*") if p.is_file()}
+    assert len(outputs[None]) == 2 + 2 * 5  # optimize.json; 4 region CSVs and a summary
+    for coretype in ("Haswell", "Prescott"):
+        changed = sorted(k for k, v in outputs[None].items() if outputs[coretype].get(k) != v)
+        assert not changed, f"BLAS {_blas_name()}, OPENBLAS_CORETYPE={coretype}: {changed} changed"
 
 
 def test_optimize_plan_is_the_plan_region_and_heatmap_build(tmp_path):
